@@ -97,7 +97,10 @@ class MultiplicityReport:
     witness_index: int
 
     def __post_init__(self):
-        assert self.max_multiplicity == max(self.counts.values())
+        if self.max_multiplicity != max(self.counts.values()):
+            raise ValueError(
+                f"max multiplicity {self.max_multiplicity} disagrees with the counts"
+            )
 
 
 def strength_lambda(array, t=2):

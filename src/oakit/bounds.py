@@ -49,9 +49,14 @@ class BoundResult:
     applicable: bool = True
 
     def __post_init__(self):
-        assert self.kind in ("min", "max")
+        if self.kind not in ("min", "max"):
+            raise ValueError(f"bound kind must be 'min' or 'max', got {self.kind!r}")
         expected = math.ceil(self.value) if self.kind == "min" else math.floor(self.value)
-        assert self.integer_form == expected
+        if self.integer_form != expected:
+            raise ValueError(
+                f"integer form {self.integer_form} of a {self.kind} bound {self.value} "
+                f"must be {expected}"
+            )
 
 
 def _bound(formula, value, kind, actual=None, applicable=True):

@@ -20,6 +20,7 @@ from .arrays import normalize_to_row, row_multiplicities, strength_lambda, symbo
 from .bounds import johnson_R, oa_to_cwc_params
 from .cyclotomic import reduce_root_sum
 from .errors import (
+    AuditFailure,
     EquationViolated,
     IdentityViolated,
     InnerProductMismatch,
@@ -676,13 +677,23 @@ def cwc_certificate(array, m=1):
     report = AuditReport(
         "cwc", tuple(checks), k, implied, (m * (k * (n - 1) + 1), N)
     )
-    bad = _first_failure(checks)
-    if bad is not None:
-        message = f"{bad.check_id}: got {bad.lhs}, expected {bad.rhs}"
-        if bad.check_id.startswith("weight@"):
-            raise WeightMismatch(message, report=report, check_id=bad.check_id)
-        raise InnerProductMismatch(message, report=report, check_id=bad.check_id)
+    if not report.checks_passed:
+        raise _cwc_failure(report)
     return report
+
+
+def _cwc_failure(report):
+    """The typed AuditFailure of a cwc report that did not pass."""
+    bad = _first_failure(report.checks)
+    if bad is None:
+        return AuditFailure(
+            f"implied bound {_fmt(report.implied_lhs)}<={_fmt(report.implied_rhs)} fails",
+            report=report,
+        )
+    message = f"{bad.check_id}: got {bad.lhs}, expected {bad.rhs}"
+    if bad.check_id.startswith("weight@"):
+        return WeightMismatch(message, report=report, check_id=bad.check_id)
+    return InnerProductMismatch(message, report=report, check_id=bad.check_id)
 
 
 def extract_cwc(array, m):
@@ -690,5 +701,6 @@ def extract_cwc(array, m):
     report = cwc_certificate(array, m)
     lam = _index_of(array)
     ell, w, mu = oa_to_cwc_params(array.k, array.n, lam, m)
-    assert report.passed
+    if not report.passed:
+        raise _cwc_failure(report)
     return ConstantWeightCodeFamily(ell, w, mu, _cwc_vectors(array, m))

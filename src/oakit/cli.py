@@ -308,6 +308,10 @@ def _search_exit(status):
 def cmd_search(args):
     if args.maximize and args.m is not None:
         raise _UsageError("--maximize cannot be combined with --m")
+    if args.workers < 1:
+        raise _UsageError("--workers must be at least 1")
+    if args.budget is not None and args.budget < 0:
+        raise _UsageError("--budget must be nonnegative")
     ceiling = _ceiling()
     n, k, lam = args.n, args.k, args.lam
     lines = []
@@ -348,7 +352,7 @@ def cmd_search(args):
             return 0 if status == FOUND else 1
 
         result = search_oa(problem(args.m if args.m is not None else 0), workers=args.workers)
-    except CeilingExceeded as exc:
+    except (CeilingExceeded, ValueError) as exc:
         raise _UsageError(str(exc)) from None
     lines.append(f"# search n={n} k={k} lambda={lam} m={args.m if args.m is not None else 0}")
     lines.append(f"# status {result.status}")

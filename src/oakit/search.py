@@ -4,10 +4,16 @@ The search enumerates arrays whose rows are in nondecreasing lexicographic
 order (one representative per row multiset), with an optional forced
 multiplicity m that pins the first m rows to all-zeros.  Sorting makes the
 first two columns a function of the row index alone, so only cells from
-column 2 on branch.  A k*k*n*n table of remaining pair capacities drives
-the pruning: every ordered symbol pair in every column pair must be used
-exactly lambda times, a capacity may never go negative, and a Hall-type
+column 2 on branch.  One list of remaining capacities drives the pruning:
+the symbol-pair capacities of every column pair, then the per-column symbol
+capacities (colcap).  Every ordered symbol pair in every column pair must be
+used exactly lambda times, a capacity may never go negative, and a Hall-type
 availability argument discards rows whose remaining demand cannot be met.
+That argument is one flat table of rules, built once per kernel run, each
+demanding cap[d] <= sum(min(cap[x], cap[y])) over fixed index pairs.
+Because columns 0 and 1 are forced, the rows still to come with column-0
+symbol s0 number colcap[0][s0], and those with the pair (s0, s1) in columns
+0 and 1 number cap[(0,1)][s0][s1], so the rules read only live capacities.
 
 Within a cell, candidate symbols are tried in descending order; the visit
 order of a fully traversed tree does not affect which nodes are visited
@@ -17,9 +23,12 @@ reaches witnesses for the hardest in-scope instances far sooner.
 Node budgets are exact: a search stops the moment the node counter would
 pass the budget, and the multi-worker mode replays per-subtree node counts
 in candidate order so that status, witness, and node count are identical to
-the single-worker run for any worker count.
+the single-worker run for any worker count.  A wall budget becomes one
+absolute deadline, checked before the first node and every 1024 nodes after;
+in multi-worker mode the probe and every subtree share it.
 """
 
+import os
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -109,6 +118,65 @@ class _Stop(Exception):
     """Internal signal: a budget ran out mid-traversal."""
 
 
+def _hall_rules(n, k, pidx, colbase):
+    """The Hall-type availability rules, as one flat table.
+
+    A rule (d, ((x, y), ...)) holds when cap[d] <= sum(min(cap[x], cap[y])).
+    Each remaining demand cap[(a,b)][sa][sb] with b >= 2 must fit through
+    every other column v in {0, 1}: a row with (sa, sb) in (a, b) takes some
+    symbol s in column v, which needs room in both (v, a) and (v, b).  Each
+    demand cap[(0,b)][s0][sb] must also fit under colcap[0][s0], a rule with
+    the single pair (colcap[0][s0], colcap[0][s0]).  The (a, b >= 2) rules
+    through column 1 come first because nearly every rejection happens
+    there; the verdict does not depend on the order.
+    """
+
+    def cell(a, b, sa, sb):
+        if a > b:
+            a, b, sa, sb = b, a, sb, sa
+        return pidx[a][b] * n * n + sa * n + sb
+
+    def through(via, a, b):
+        return [
+            (
+                cell(a, b, sa, sb),
+                tuple((cell(via, a, s, sa), cell(via, b, s, sb)) for s in range(n)),
+            )
+            for sa in range(n)
+            for sb in range(n)
+        ]
+
+    rules = []
+    for via in (1, 0):
+        for a in range(2, k):
+            for b in range(a + 1, k):
+                rules += through(via, a, b)
+    for a, via in ((0, 1), (1, 0)):
+        for b in range(2, k):
+            rules += through(via, a, b)
+    for b in range(1, k):
+        for s0 in range(n):
+            col = colbase + s0
+            rules += [(cell(0, b, s0, sb), ((col, col),)) for sb in range(n)]
+    return tuple(rules)
+
+
+def _hall(cap, rules):
+    """True when every rule of `_hall_rules` holds for the capacities `cap`."""
+    for d, pairs in rules:
+        c = cap[d]
+        if c:
+            for x, y in pairs:
+                x = cap[x]
+                y = cap[y]
+                c -= x if x < y else y
+                if c <= 0:
+                    break
+            else:
+                return False
+    return True
+
+
 def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=False):
     """Canonical DFS below a fixed row prefix.
 
@@ -125,27 +193,16 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
         for b in range(a + 1, k):
             pidx[a][b] = npairs
             npairs += 1
-    cap = [lam] * (npairs * n2)
-    colcap = [lns] * (k * n)
-    # Sorted rows force the first two columns as functions of the row index.
+    # One capacity list: the pair blocks, then colcap[c][s] at cc + c*n + s.
+    # Sorted rows force columns 0 and 1 as functions of the row index, so
+    # before row r, colcap[0][s0] counts the rows >= r with forced column 0
+    # equal to s0, and block (0, 1) counts those with forced pair (s0, s1).
+    # The Hall rules therefore read only live capacities, no per-row tables.
+    cc = npairs * n2
+    cap = [lam] * cc + [lns] * (k * n)
+    rules = _hall_rules(n, k, pidx, cc)
     f0 = [r // lns for r in range(N)]
     f1 = [(r % lns) // lam for r in range(N)]
-    # avail0[r][s]: rows >= r whose forced column 0 equals s; slots2 likewise
-    # for the forced (column 0, column 1) pair.
-    avail0 = []
-    slots2 = []
-    for r in range(N + 1):
-        a0 = [0] * n
-        s2 = [0] * n2
-        for s in range(n):
-            lo = s * lns
-            a0[s] = max(0, lo + lns - max(r, lo))
-        for s0 in range(n):
-            for s1 in range(n):
-                lo = s0 * lns + s1 * lam
-                s2[s0 * n + s1] = max(0, lo + lam - max(r, lo))
-        avail0.append(a0)
-        slots2.append(s2)
 
     out = {
         "status": EXHAUSTED,
@@ -163,100 +220,20 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
             return out
         for c in range(k):
             s = prow[c]
-            if colcap[c * n + s] <= 0:
+            if cap[cc + c * n + s] <= 0:
                 return out
             for a in range(c):
                 if cap[pidx[a][c] * n2 + prow[a] * n + s] <= 0:
                     return out
         for c in range(k):
             s = prow[c]
-            colcap[c * n + s] -= 1
+            cap[cc + c * n + s] -= 1
             for a in range(c):
                 cap[pidx[a][c] * n2 + prow[a] * n + s] -= 1
         grid[i] = list(prow)
     start_r = len(prefix)
 
-    def hall(r_next):
-        # Each remaining demand cap[(a,b)][sa][sb] must fit under both the
-        # availability of forced column values and the propagated capacity
-        # through columns 0 and 1 (a min-sum relaxation of a flow bound).
-        a0 = avail0[r_next]
-        s2 = slots2[r_next]
-        for b in range(1, k):
-            base0b = pidx[0][b] * n2
-            if b >= 2:
-                base1b = pidx[1][b] * n2
-                for s0 in range(n):
-                    lim = a0[s0]
-                    s2row = s0 * n
-                    for sb in range(n):
-                        c = cap[base0b + s0 * n + sb]
-                        if c > lim:
-                            return False
-                        if c:
-                            ub = 0
-                            for s1 in range(n):
-                                avail = s2[s2row + s1]
-                                q = cap[base1b + s1 * n + sb]
-                                ub += avail if avail < q else q
-                                if ub >= c:
-                                    break
-                            if c > ub:
-                                return False
-            else:
-                for s0 in range(n):
-                    lim = a0[s0]
-                    for sb in range(n):
-                        if cap[base0b + s0 * n + sb] > lim:
-                            return False
-        for b in range(2, k):
-            base1b = pidx[1][b] * n2
-            base0b = pidx[0][b] * n2
-            for s1 in range(n):
-                for sb in range(n):
-                    c = cap[base1b + s1 * n + sb]
-                    if c:
-                        ub = 0
-                        for s0 in range(n):
-                            avail = s2[s0 * n + s1]
-                            q = cap[base0b + s0 * n + sb]
-                            ub += avail if avail < q else q
-                            if ub >= c:
-                                break
-                        if c > ub:
-                            return False
-        for a in range(2, k):
-            base0a = pidx[0][a] * n2
-            base1a = pidx[1][a] * n2
-            for b in range(a + 1, k):
-                baseab = pidx[a][b] * n2
-                base0b = pidx[0][b] * n2
-                base1b = pidx[1][b] * n2
-                for sa in range(n):
-                    for sb in range(n):
-                        c = cap[baseab + sa * n + sb]
-                        if c:
-                            ub = 0
-                            for s0 in range(n):
-                                x = cap[base0a + s0 * n + sa]
-                                y = cap[base0b + s0 * n + sb]
-                                ub += x if x < y else y
-                                if ub >= c:
-                                    break
-                            if c > ub:
-                                return False
-                            ub = 0
-                            for s1 in range(n):
-                                x = cap[base1a + s1 * n + sa]
-                                y = cap[base1b + s1 * n + sb]
-                                ub += x if x < y else y
-                                if ub >= c:
-                                    break
-                            if c > ub:
-                                return False
-        return True
-
-    if start_r < N and not hall(start_r):
+    if start_r < N and not _hall(cap, rules):
         return out
 
     found = [False]
@@ -264,10 +241,10 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
     def dfs(r):
         if node_budget is not None and out["nodes"] == node_budget:
             raise _Stop
-        out["nodes"] += 1
         if deadline is not None and not out["nodes"] & 1023:
             if time.monotonic() > deadline:
                 raise _Stop
+        out["nodes"] += 1
         if r == N:
             out["solutions"] += 1
             if out["witness"] is None:
@@ -281,19 +258,18 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
         row[0] = -1
         while c >= 0:
             if c == k:
-                if collect_children and r == start_r:
-                    if hall(r + 1):
+                if _hall(cap, rules):
+                    if collect_children and r == start_r:
                         out["children"].append(tuple(row))
-                else:
-                    if hall(r + 1):
+                    else:
                         dfs(r + 1)
-                    if found[0] and mode == "exists":
-                        return
+                if found[0] and mode == "exists":
+                    return
                 c -= 1
                 s = row[c]
                 for a in range(c):
                     cap[pidx[a][c] * n2 + row[a] * n + s] += 1
-                colcap[c * n + s] += 1
+                cap[cc + c * n + s] += 1
                 continue
             forced = f0[r] if c == 0 else (f1[r] if c == 1 else -1)
             lo = prev[c] if (prev is not None and tight[c]) else 0
@@ -305,7 +281,7 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
                 cands = range(start, lo - 1, -1)
             placed = False
             for s in cands:
-                if colcap[c * n + s] <= 0:
+                if cap[cc + c * n + s] <= 0:
                     continue
                 ok = True
                 for a in range(c):
@@ -317,7 +293,7 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
                 row[c] = s
                 for a in range(c):
                     cap[pidx[a][c] * n2 + row[a] * n + s] -= 1
-                colcap[c * n + s] -= 1
+                cap[cc + c * n + s] -= 1
                 tight[c + 1] = tight[c] and (prev is not None and s == prev[c])
                 placed = True
                 break
@@ -332,7 +308,7 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
                     s = row[c]
                     for a in range(c):
                         cap[pidx[a][c] * n2 + row[a] * n + s] += 1
-                    colcap[c * n + s] += 1
+                    cap[cc + c * n + s] += 1
 
     try:
         dfs(start_r)
@@ -343,10 +319,9 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
     return out
 
 
-def _subtree_worker(args):
-    n, k, lam, prefix, mode, node_budget, wall_budget = args
-    deadline = None if wall_budget is None else time.monotonic() + wall_budget
-    return _kernel(n, k, lam, prefix, mode, node_budget, deadline)
+def _pool_size(workers, subtrees):
+    """Processes worth starting: no more than the subtrees or the CPUs."""
+    return min(workers, subtrees, os.cpu_count() or 1)
 
 
 def _finish(problem, status, witness_rows, nodes, solutions):
@@ -378,7 +353,9 @@ def search_oa(problem, workers=1):
 
     if p.node_budget == 0:
         return SearchResult(BUDGET_EXCEEDED, None, 0, 0, 0)
-    probe = _kernel(p.n, p.k, p.lam, prefix, p.mode, None, None, collect_children=True)
+    probe = _kernel(p.n, p.k, p.lam, prefix, p.mode, None, deadline, collect_children=True)
+    if probe["status"] == BUDGET_EXCEEDED:
+        return SearchResult(BUDGET_EXCEEDED, None, probe["nodes"], 0, 0)
     children = probe["children"]
     if probe["nodes"] == 0 or not children:
         raw = _kernel(p.n, p.k, p.lam, prefix, p.mode, p.node_budget, deadline)
@@ -386,12 +363,11 @@ def search_oa(problem, workers=1):
 
     budget = p.node_budget
     task_budget = None if budget is None else budget - 1
-    pool = get_context().Pool(processes=workers)
+    pool = get_context().Pool(processes=_pool_size(workers, len(children)))
     try:
         pending = [
             pool.apply_async(
-                _subtree_worker,
-                ((p.n, p.k, p.lam, prefix + (child,), p.mode, task_budget, p.wall_budget),),
+                _kernel, (p.n, p.k, p.lam, prefix + (child,), p.mode, task_budget, deadline)
             )
             for child in children
         ]

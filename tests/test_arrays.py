@@ -4,6 +4,7 @@ import pytest
 
 from oakit import (
     BlockDesign,
+    MultiplicityReport,
     FormatError,
     NonintegralIndex,
     NotADesign,
@@ -272,3 +273,10 @@ def test_bibd_round_trip(fano):
 def test_parse_bibd_rejects_malformed(text):
     with pytest.raises(FormatError):
         parse_bibd(text)
+
+
+def test_multiplicity_report_rejects_wrong_maximum():
+    # explicit raise, so the invariant also holds under python -O
+    MultiplicityReport({(0,): 2, (1,): 1}, 2, 0)
+    with pytest.raises(ValueError):
+        MultiplicityReport({(0,): 2, (1,): 1}, 1, 0)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oakit import (
+    BoundResult,
     DesignParameters,
     HypothesisViolated,
     OAParameters,
@@ -236,3 +237,12 @@ def test_parameter_validation():
     p = DesignParameters(7, 3, 1)
     assert p.s == 1  # defaults to floor(t/2)
     assert OAParameters(2, 5, 3, 3).N == 27
+
+
+def test_bound_result_rejects_inconsistent_fields():
+    # explicit raises, so the invariant also holds under python -O
+    BoundResult("f", Fraction(7, 2), 4, "min")
+    with pytest.raises(ValueError):
+        BoundResult("f", Fraction(7, 2), 3, "min")
+    with pytest.raises(ValueError):
+        BoundResult("f", Fraction(7, 2), 3, "most")

@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import oakit.certificates as certificates
 from oakit import (
+    AuditFailure,
+    AuditReport,
+    Check,
     EquationViolated,
     IdentityViolated,
     IncidenceMatrix,
@@ -324,6 +328,23 @@ def test_cwc_certificate_on_frozen_witness(oa353_m2):
         for a, b in itertools.combinations(family.vectors, 2)
     }
     assert ips == {1}
+
+
+@pytest.mark.parametrize(
+    "checks,implied,error",
+    [
+        ((Check("weight@1", "1", "2", False),), 3, WeightMismatch),
+        ((Check("ip@1,2", "1", "0", False),), 3, InnerProductMismatch),
+        ((Check("weight@1", "2", "2", True),), 2, AuditFailure),  # 3 <= 2 fails
+    ],
+)
+def test_extract_cwc_raises_on_failed_report(monkeypatch, stacked_parity, checks, implied, error):
+    # an explicit raise, so a failed report is caught also under python -O
+    failed = AuditReport("cwc", checks, 3, implied, (6, 8))
+    monkeypatch.setattr(certificates, "cwc_certificate", lambda array, m: failed)
+    with pytest.raises(error) as info:
+        extract_cwc(normalize_to_row(stacked_parity, 0), 2)
+    assert info.value.report is failed
 
 
 def test_cwc_needs_normalized_input(stacked_parity):

@@ -255,6 +255,29 @@ def test_search_maximize_conflicts_with_m(capsys):
     assert code == 2
 
 
+BASE = ("--n", "2", "--k", "3", "--lambda", "1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "1", "--k", "3", "--lambda", "1"),  # alphabet below 2
+        ("--n", "1", "--k", "3", "--lambda", "1", "--maximize"),
+        BASE + ("--budget", "-1"),
+        BASE + ("--budget", "-1", "--maximize"),
+        BASE + ("--m", "99"),  # beyond the row count
+        BASE + ("--workers", "0"),
+        BASE + ("--workers", "0", "--maximize"),
+        BASE + ("--workers", "-2"),
+    ],
+)
+def test_search_usage_errors(capsys, argv):
+    assert main(["search", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("oakit: ")
+
+
 def test_search_output_is_deterministic(capsys):
     argv = ("search", "--n", "2", "--k", "4", "--lambda", "3")
     _, first = run(capsys, *argv)

@@ -1,7 +1,10 @@
+import functools
 import itertools
+import time
 
 import pytest
 
+import oakit.search as search_module
 from oakit import (
     CeilingExceeded,
     OrthogonalArray,
@@ -218,6 +221,36 @@ def test_parallel_triple_index_run():
     assert parallel.nodes_explored == 11614
 
 
+@pytest.mark.parametrize(
+    "workers,subtrees,cpus,size",
+    [
+        (2, 5, 8, 2),
+        (64, 5, 8, 5),  # no more processes than subtrees
+        (64, 500, 8, 8),  # nor than CPUs
+        (4, 9, None, 1),  # an unknown CPU count allows one
+    ],
+)
+def test_pool_size_is_capped(monkeypatch, workers, subtrees, cpus, size):
+    monkeypatch.setattr(search_module.os, "cpu_count", lambda: cpus)
+    assert search_module._pool_size(workers, subtrees) == size
+
+
+def test_subtree_search_honours_an_absolute_deadline():
+    # subtrees share one point in time, not a fresh allowance per subtree,
+    # so a subtree dispatched after the deadline stops before its first node
+    prefix = ((0,) * 5,) * 2
+    raw = search_module._kernel(3, 5, 3, prefix, "exists", None, time.monotonic() - 1)
+    assert raw["status"] == "budget-exceeded"
+    assert raw["nodes"] == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_passed_wall_budget_stops_at_once(workers):
+    result = search_oa(SearchProblem(2, 4, 3, wall_budget=0.0), workers=workers)
+    assert result.status == "budget-exceeded"
+    assert result.nodes_explored == 0
+
+
 # ---------------------------------------------------------------------------
 # multiplicity oracle
 # ---------------------------------------------------------------------------
@@ -240,6 +273,191 @@ def test_oracle_when_no_array_exists():
     # 4 rows cannot support 5 binary columns, and the bound floor is 0
     m, witness = oracle_max_multiplicity(2, 5, 1)
     assert (m, witness) == (0, None)
+
+
+# ---------------------------------------------------------------------------
+# differential test of the Hall pruning rules
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def reference_tables(n, k, lam):
+    """pidx and the per-row availability tables the original kernel precomputed."""
+    N = lam * n * n
+    lns = lam * n
+    n2 = n * n
+    pidx = [[0] * k for _ in range(k)]
+    npairs = 0
+    for a in range(k):
+        for b in range(a + 1, k):
+            pidx[a][b] = npairs
+            npairs += 1
+    # avail0[r][s]: rows >= r whose forced column 0 equals s; slots2 likewise
+    # for the forced (column 0, column 1) pair.
+    avail0 = []
+    slots2 = []
+    for r in range(N + 1):
+        a0 = [0] * n
+        s2 = [0] * n2
+        for s in range(n):
+            lo = s * lns
+            a0[s] = max(0, lo + lns - max(r, lo))
+        for s0 in range(n):
+            for s1 in range(n):
+                lo = s0 * lns + s1 * lam
+                s2[s0 * n + s1] = max(0, lo + lam - max(r, lo))
+        avail0.append(a0)
+        slots2.append(s2)
+    return pidx, avail0, slots2
+
+
+def reference_hall(n, k, lam, r_next, cap):
+    """The original per-row Hall predicate, kept verbatim as the reference."""
+    n2 = n * n
+    pidx, avail0, slots2 = reference_tables(n, k, lam)
+    # Each remaining demand cap[(a,b)][sa][sb] must fit under both the
+    # availability of forced column values and the propagated capacity
+    # through columns 0 and 1 (a min-sum relaxation of a flow bound).
+    a0 = avail0[r_next]
+    s2 = slots2[r_next]
+    for b in range(1, k):
+        base0b = pidx[0][b] * n2
+        if b >= 2:
+            base1b = pidx[1][b] * n2
+            for s0 in range(n):
+                lim = a0[s0]
+                s2row = s0 * n
+                for sb in range(n):
+                    c = cap[base0b + s0 * n + sb]
+                    if c > lim:
+                        return False
+                    if c:
+                        ub = 0
+                        for s1 in range(n):
+                            avail = s2[s2row + s1]
+                            q = cap[base1b + s1 * n + sb]
+                            ub += avail if avail < q else q
+                            if ub >= c:
+                                break
+                        if c > ub:
+                            return False
+        else:
+            for s0 in range(n):
+                lim = a0[s0]
+                for sb in range(n):
+                    if cap[base0b + s0 * n + sb] > lim:
+                        return False
+    for b in range(2, k):
+        base1b = pidx[1][b] * n2
+        base0b = pidx[0][b] * n2
+        for s1 in range(n):
+            for sb in range(n):
+                c = cap[base1b + s1 * n + sb]
+                if c:
+                    ub = 0
+                    for s0 in range(n):
+                        avail = s2[s0 * n + s1]
+                        q = cap[base0b + s0 * n + sb]
+                        ub += avail if avail < q else q
+                        if ub >= c:
+                            break
+                    if c > ub:
+                        return False
+    for a in range(2, k):
+        base0a = pidx[0][a] * n2
+        base1a = pidx[1][a] * n2
+        for b in range(a + 1, k):
+            baseab = pidx[a][b] * n2
+            base0b = pidx[0][b] * n2
+            base1b = pidx[1][b] * n2
+            for sa in range(n):
+                for sb in range(n):
+                    c = cap[baseab + sa * n + sb]
+                    if c:
+                        ub = 0
+                        for s0 in range(n):
+                            x = cap[base0a + s0 * n + sa]
+                            y = cap[base0b + s0 * n + sb]
+                            ub += x if x < y else y
+                            if ub >= c:
+                                break
+                        if c > ub:
+                            return False
+                        ub = 0
+                        for s1 in range(n):
+                            x = cap[base1a + s1 * n + sa]
+                            y = cap[base1b + s1 * n + sb]
+                            ub += x if x < y else y
+                            if ub >= c:
+                                break
+                        if c > ub:
+                            return False
+    return True
+
+
+def differential_search(monkeypatch, n, k, lam, **options):
+    """Run a search checking every Hall verdict against the reference.
+
+    The kernel keeps colcap after the pair blocks in its capacity list.
+    The row about to be placed is the number of rows already placed, read
+    from column 0's remaining capacities; at that row, colcap of column 0
+    and the (0, 1) block must equal the original availability tables.
+    """
+    N = lam * n * n
+    col0 = k * (k - 1) // 2 * n * n
+    _, avail0, slots2 = reference_tables(n, k, lam)
+    real = search_module._hall
+    verdicts = []
+
+    def checked(cap, rules):
+        verdict = real(cap, rules)
+        r_next = N - sum(cap[col0 : col0 + n])
+        assert cap[col0 : col0 + n] == avail0[r_next]
+        assert cap[: n * n] == slots2[r_next]
+        assert verdict == reference_hall(n, k, lam, r_next, cap)
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(search_module, "_hall", checked)
+    result = search_oa(SearchProblem(n, k, lam, **options))
+    return result, verdicts
+
+
+@pytest.mark.parametrize(
+    "m,status,nodes,calls,rejections",
+    [
+        (2, "found", 11614, 34341, 22727),
+        (3, "exhausted-no-solution", 15149, 67429, 52280),
+    ],
+)
+def test_hall_matches_reference_on_pinned_case(monkeypatch, m, status, nodes, calls, rejections):
+    result, verdicts = differential_search(monkeypatch, 3, 5, 3, m=m)
+    assert (result.status, result.nodes_explored) == (status, nodes)
+    assert len(verdicts) == calls
+    assert verdicts.count(False) == rejections
+
+
+def test_hall_matches_reference_in_count_mode(monkeypatch):
+    result, verdicts = differential_search(monkeypatch, 3, 3, 3, mode="count")
+    assert (result.nodes_explored, result.solution_count) == (21466, 847)
+    assert verdicts.count(False) > 0
+
+
+# Every forced multiplicity of the arrays with at most 60 cells (N*k), plus
+# the 18-row three-column case; the full traversals stay within seconds.
+SWEEP = [
+    (n, k, lam, m)
+    for n, lam in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+    for k in range(3, 7)
+    for m in range(lam + 1)
+    if lam * n * n * k <= 60 or (k == 3 and m)
+]
+
+
+@pytest.mark.parametrize("n,k,lam,m", SWEEP)
+def test_hall_matches_reference_on_small_parameters(monkeypatch, n, k, lam, m):
+    result, verdicts = differential_search(monkeypatch, n, k, lam, m=m, mode="count")
+    assert len(verdicts) >= result.nodes_explored
 
 
 # ---------------------------------------------------------------------------
