@@ -20,6 +20,8 @@ __all__ = [
     "row_multiplicities",
     "block_multiplicities",
     "normalize_to_row",
+    "normalize_repeated_row",
+    "rows_before_zero_tail",
     "symbol_counts",
     "stack",
     "verify_bibd",
@@ -170,20 +172,41 @@ def normalize_to_row(array, index):
     return OrthogonalArray(array.n, array.k, tuple(kept + moved))
 
 
+def normalize_repeated_row(array, m):
+    """`normalize_to_row` at the first row that occurs at least m times.
+
+    The result has that row's copies, all-zeros, as its last rows.  Raises
+    ValueError when no row occurs m times.
+    """
+    counts = row_multiplicities(array).counts
+    target = next((i for i, row in enumerate(array.rows) if counts[row] >= m), None)
+    if target is None:
+        raise ValueError(f"no row has multiplicity >= {m}")
+    return normalize_to_row(array, target)
+
+
+def rows_before_zero_tail(array, m):
+    """The rows before the last m, which must be all-zeros.
+
+    The last m rows are the repeated row as `normalize_repeated_row` leaves
+    it; ValueError when m is out of range or one of them is not all-zeros.
+    """
+    if not 0 <= m <= array.N:
+        raise ValueError(f"tail length {m} out of range")
+    zero = tuple([0] * array.k)
+    for i in range(array.N - m, array.N):
+        if array.rows[i] != zero:
+            raise ValueError(f"row {i} is not all-zeros; normalize first")
+    return array.rows[: array.N - m]
+
+
 def symbol_counts(array, exclude_last):
     """Per-row counts of the designated symbol 0, excluding the last rows.
 
     Requires the last `exclude_last` rows to be all-zeros (the normalized
     repeated row); returns the counts a_i for the remaining rows in order.
     """
-    m = exclude_last
-    if not 0 <= m <= array.N:
-        raise ValueError("exclude_last out of range")
-    zero = tuple([0] * array.k)
-    for i in range(array.N - m, array.N):
-        if array.rows[i] != zero:
-            raise ValueError(f"row {i} is not all-zeros; normalize first")
-    return tuple(row.count(0) for row in array.rows[: array.N - m])
+    return tuple(row.count(0) for row in rows_before_zero_tail(array, exclude_last))
 
 
 def stack(array, copies):
@@ -244,77 +267,64 @@ def _parse_header(line, lineno, names):
         raise FormatError(f"line {lineno}: non-integer header") from None
 
 
-def parse_oa(text):
-    """Parse the OA text format into an OrthogonalArray."""
+def _parse_grid(text, make, header, entry, line_noun, distinct=False):
+    """Parse a `size width` header and its grid lines into make(size, width, grid).
+
+    Every entry must be an integer in 0..size-1; with `distinct`, no entry
+    may repeat within a line.  `entry` and `line_noun` name the entries and
+    the lines in the error messages.
+    """
     lines = _data_lines(text)
     try:
-        lineno, header = next(lines)
+        lineno, line = next(lines)
     except StopIteration:
         raise FormatError("empty input") from None
-    n, k = _parse_header(header, lineno, "n k")
-    rows = []
+    size, width = _parse_header(line, lineno, header)
+    grid = []
     for lineno, line in lines:
         parts = line.split()
-        if len(parts) != k:
-            raise FormatError(f"line {lineno}: expected {k} symbols, got {len(parts)}")
+        if len(parts) != width:
+            raise FormatError(f"line {lineno}: expected {width} {entry}s, got {len(parts)}")
         try:
-            row = tuple(int(p) for p in parts)
+            values = tuple(int(p) for p in parts)
         except ValueError:
-            raise FormatError(f"line {lineno}: non-integer symbol") from None
-        for e in row:
-            if not 0 <= e < n:
-                raise FormatError(f"line {lineno}: symbol {e} outside 0..{n - 1}")
-        rows.append(row)
-    if not rows:
-        raise FormatError("no rows")
+            raise FormatError(f"line {lineno}: non-integer {entry}") from None
+        for e in values:
+            if not 0 <= e < size:
+                raise FormatError(f"line {lineno}: {entry} {e} outside 0..{size - 1}")
+        if distinct and len(set(values)) != width:
+            raise FormatError(f"line {lineno}: repeated {entry} in {line_noun}")
+        grid.append(values)
+    if not grid:
+        raise FormatError(f"no {line_noun}s")
     try:
-        return OrthogonalArray(n, k, tuple(rows))
+        return make(size, width, tuple(grid))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+
+
+def _format_grid(size, width, grid, comments):
+    out = [f"# {c}" for c in comments]
+    out.append(f"{size} {width}")
+    out.extend(" ".join(str(e) for e in line) for line in grid)
+    return "\n".join(out) + "\n"
+
+
+def parse_oa(text):
+    """Parse the OA text format into an OrthogonalArray."""
+    return _parse_grid(text, OrthogonalArray, "n k", "symbol", "row")
 
 
 def format_oa(array, comments=()):
     """Render an OrthogonalArray in the OA text format."""
-    out = [f"# {c}" for c in comments]
-    out.append(f"{array.n} {array.k}")
-    out.extend(" ".join(str(e) for e in row) for row in array.rows)
-    return "\n".join(out) + "\n"
+    return _format_grid(array.n, array.k, array.rows, comments)
 
 
 def parse_bibd(text):
     """Parse the BIBD text format into a BlockDesign."""
-    lines = _data_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise FormatError("empty input") from None
-    v, k = _parse_header(header, lineno, "v k")
-    blocks = []
-    for lineno, line in lines:
-        parts = line.split()
-        if len(parts) != k:
-            raise FormatError(f"line {lineno}: expected {k} points, got {len(parts)}")
-        try:
-            block = tuple(int(p) for p in parts)
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer point") from None
-        for p in block:
-            if not 0 <= p < v:
-                raise FormatError(f"line {lineno}: point {p} outside 0..{v - 1}")
-        if len(set(block)) != k:
-            raise FormatError(f"line {lineno}: repeated point in block")
-        blocks.append(block)
-    if not blocks:
-        raise FormatError("no blocks")
-    try:
-        return BlockDesign(v, k, tuple(blocks))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return _parse_grid(text, BlockDesign, "v k", "point", "block", distinct=True)
 
 
 def format_bibd(design, comments=()):
     """Render a BlockDesign in the BIBD text format."""
-    out = [f"# {c}" for c in comments]
-    out.append(f"{design.v} {design.k}")
-    out.extend(" ".join(str(p) for p in block) for block in design.blocks)
-    return "\n".join(out) + "\n"
+    return _format_grid(design.v, design.k, design.blocks, comments)

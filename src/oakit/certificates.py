@@ -16,7 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .arrays import normalize_to_row, row_multiplicities, strength_lambda, symbol_counts
+from .arrays import (
+    normalize_repeated_row,
+    rows_before_zero_tail,
+    strength_lambda,
+    symbol_counts,
+)
 from .bounds import johnson_R, oa_to_cwc_params
 from .cyclotomic import reduce_root_sum
 from .errors import (
@@ -177,20 +182,14 @@ def variance_audit(array, m=1):
     identities exactly.  The nonnegativity of the squared deviations then
     implies k <= (lambda*n^2 - m)/(m(n-1)).  Any identity failure means the
     input is not an orthogonal array of the claimed shape and raises
-    IdentityViolated.
+    IdentityViolated.  The identities can hold on an array that is not one,
+    so the strength is verified last, raising NotAnOA.
     """
     if m < 1:
         raise ValueError("multiplicity m must be at least 1")
     lam = _index_of(array)
     n, k, N = array.n, array.k, array.N
-    census = row_multiplicities(array)
-    target = next(
-        (i for i, row in enumerate(array.rows) if census.counts[row] >= m), None
-    )
-    if target is None:
-        raise ValueError(f"no row has multiplicity >= {m}")
-    normalized = normalize_to_row(array, target)
-    counts = symbol_counts(normalized, exclude_last=m)
+    counts = symbol_counts(normalize_repeated_row(array, m), exclude_last=m)
 
     sum_a = sum(counts)
     sum_pairs = sum(a * (a - 1) for a in counts)
@@ -227,6 +226,7 @@ def variance_audit(array, m=1):
             report=report,
             check_id=bad.check_id,
         )
+    strength_lambda(array, 2)
     sums = ((sum_a, pred_a), (sum_pairs, pred_pairs), (sum_sq, pred_sq))
     return VarianceAudit(m, counts, sums, abar, ssd, implied, equality, report)
 
@@ -316,14 +316,8 @@ def check_span_equations(td):
     """
     n, k, lam, N = td.n, td.k, td.lam, td.N
     nk = n * k
-    blocks = [[0] * nk for _ in range(N)]
-    for i, block in enumerate(td.blocks):
-        for p in block:
-            blocks[i][p] = 1
-    groups = [[0] * nk for _ in range(k)]
-    for j, group in enumerate(td.groups):
-        for p in group:
-            groups[j][p] = 1
+    rows = incidence_matrix(td).matrix
+    blocks, groups = rows[:N], rows[N:]
 
     checks = []
     total_blocks = tuple(sum(col) for col in zip(*blocks))
@@ -592,13 +586,7 @@ def shortened_family_certificate(array, m):
     """
     if m < 1:
         raise ValueError("multiplicity m must be at least 1")
-    census = row_multiplicities(array)
-    target = next(
-        (i for i, row in enumerate(array.rows) if census.counts[row] >= m), None
-    )
-    if target is None:
-        raise ValueError(f"no row has multiplicity >= {m}")
-    normalized = normalize_to_row(array, target)
+    normalized = normalize_repeated_row(array, m)
     n, k, N = array.n, array.k, array.N
 
     base = root_vector_family(normalized)
@@ -630,13 +618,7 @@ class ConstantWeightCodeFamily:
 
 
 def _cwc_vectors(array, m):
-    zero = tuple([0] * array.k)
-    for i in range(array.N - m, array.N):
-        if array.rows[i] != zero:
-            raise ValueError(
-                f"row {i} is not all the designated symbol; normalize first"
-            )
-    kept = array.rows[: array.N - m]
+    kept = rows_before_zero_tail(array, m)
     return tuple(
         tuple(1 if row[j] == 0 else 0 for row in kept) for j in range(array.k)
     )
@@ -650,7 +632,9 @@ def cwc_certificate(array, m=1):
     pairwise inner product lambda - m in length lambda*n^2 - m.  The
     pair-bound hypothesis margin w^2 - ell*mu equals lambda*m(n-1)^2 > 0,
     and the resulting maximum-family-size bound coincides exactly with the
-    repeated-row bound k <= (lambda*n^2 - m)/(m(n-1)).
+    repeated-row bound k <= (lambda*n^2 - m)/(m(n-1)).  The code checks can
+    pass on an array that is not an orthogonal array, so the strength is
+    verified last, raising NotAnOA.
     """
     if m < 1:
         raise ValueError("multiplicity m must be at least 1")
@@ -679,6 +663,7 @@ def cwc_certificate(array, m=1):
     )
     if not report.checks_passed:
         raise _cwc_failure(report)
+    strength_lambda(array, 2)
     return report
 
 

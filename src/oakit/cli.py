@@ -13,11 +13,10 @@ of the search commands.
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from .arrays import (
     format_oa,
-    normalize_to_row,
+    normalize_repeated_row,
     parse_oa,
     row_multiplicities,
     strength_lambda,
@@ -34,6 +33,7 @@ from .bounds import (
     rr_min_lambda,
 )
 from .certificates import (
+    _fmt,
     cwc_certificate,
     gram_certificate,
     incidence_matrix,
@@ -59,6 +59,7 @@ from .search import (
     EXHAUSTED,
     FOUND,
     SearchProblem,
+    maximize_stages,
     search_oa,
 )
 
@@ -69,12 +70,6 @@ AUDIT_METHODS = ("variance", "td-rank", "gram", "roots", "shortened", "cwc")
 
 class _UsageError(Exception):
     pass
-
-
-def _fmt(x):
-    if isinstance(x, Fraction) and x.denominator != 1:
-        return f"{x.numerator}/{x.denominator}"
-    return str(int(x)) if isinstance(x, Fraction) else str(x)
 
 
 def _verdict(result):
@@ -250,13 +245,10 @@ def _audit_report(array, method, m):
     if method == "shortened":
         return [f"m {m}"], shortened_family_certificate(array, m)
     if method == "cwc":
-        census = row_multiplicities(array)
-        target = next(
-            (i for i, row in enumerate(array.rows) if census.counts[row] >= m), None
-        )
-        if target is None:
-            raise AuditFailure(f"no row has multiplicity >= {m}")
-        normalized = normalize_to_row(array, target)
+        try:
+            normalized = normalize_repeated_row(array, m)
+        except ValueError as exc:
+            raise AuditFailure(str(exc)) from None
         return [f"m {m}"], cwc_certificate(normalized, m)
     raise _UsageError(f"unknown method {method!r}")
 
@@ -315,12 +307,6 @@ def cmd_search(args):
     ceiling = _ceiling()
     n, k, lam = args.n, args.k, args.lam
     lines = []
-
-    def problem(m):
-        return SearchProblem(
-            n, k, lam, m=m, mode="exists", node_budget=args.budget, ceiling=ceiling
-        )
-
     try:
         if args.maximize:
             floor = max_multiplicity(k, n, lam).integer_form
@@ -328,33 +314,30 @@ def cmd_search(args):
             total = 0
             m_star, witness = 0, None
             status = EXHAUSTED
-            for m in range(floor, 0, -1):
-                result = search_oa(problem(m), workers=args.workers)
+            stages = maximize_stages(
+                n, k, lam, node_budget=args.budget, ceiling=ceiling, workers=args.workers
+            )
+            for m, result in stages:
                 total += result.nodes_explored
                 lines.append(f"# stage m={m} status {result.status} nodes {result.nodes_explored}")
-                if result.status == BUDGET_EXCEEDED:
-                    status = BUDGET_EXCEEDED
-                    break
-                if result.status == FOUND:
+                status = result.status
+                if status == FOUND:
                     m_star, witness = m, result.witness
-                    status = FOUND
-                    break
             lines.append(f"# nodes {total}")
-            if status == BUDGET_EXCEEDED:
-                lines.append(f"# status {BUDGET_EXCEEDED}")
-                _emit(lines)
-                return 3
-            lines.append(f"# m-star {m_star}")
+            if status != BUDGET_EXCEEDED:
+                lines.append(f"# m-star {m_star}")
             lines.append(f"# status {status}")
             if witness is not None:
                 lines.append(format_oa(witness).rstrip("\n"))
             _emit(lines)
-            return 0 if status == FOUND else 1
+            return _search_exit(status)
 
-        result = search_oa(problem(args.m if args.m is not None else 0), workers=args.workers)
+        m = args.m if args.m is not None else 0
+        problem = SearchProblem(n, k, lam, m=m, node_budget=args.budget, ceiling=ceiling)
+        result = search_oa(problem, workers=args.workers)
     except (CeilingExceeded, ValueError) as exc:
         raise _UsageError(str(exc)) from None
-    lines.append(f"# search n={n} k={k} lambda={lam} m={args.m if args.m is not None else 0}")
+    lines.append(f"# search n={n} k={k} lambda={lam} m={m}")
     lines.append(f"# status {result.status}")
     lines.append(f"# nodes {result.nodes_explored}")
     lines.append(f"# achieved-multiplicity {result.achieved_multiplicity}")

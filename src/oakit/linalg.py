@@ -1,66 +1,66 @@
 """Fraction-free exact linear algebra over the integers.
 
-Bareiss elimination keeps every intermediate value an integer (each division
-is exact), so ranks and determinants of integer matrices come out exact with
-no rational blow-up.  Matrices are plain lists of lists of ints; inputs are
-never mutated.
+Bareiss elimination (Bareiss 1968) keeps every intermediate value an integer
+(each division is exact), so ranks and determinants of integer matrices come
+out exact with no rational blow-up.  One elimination routine, `_bareiss`,
+serves both: the rank is its pivot count, and the determinant is the last
+pivot, signed by the row swaps, or 0 as soon as a column has no pivot.
+Matrices are plain lists of lists of ints; inputs are never mutated.
 """
 
 
-def _copy(matrix):
-    return [list(row) for row in matrix]
+def _bareiss(m):
+    """Eliminate the list-of-lists matrix `m` in place, one pivot at a time.
 
-
-def integer_det(matrix):
-    """Exact determinant of a square integer matrix via Bareiss elimination."""
-    m = _copy(matrix)
-    size = len(m)
-    if any(len(row) != size for row in m):
-        raise ValueError("determinant requires a square matrix")
-    if size == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for i in range(size):
-        # pivot search: any nonzero entry in column i at/below row i
-        pivot_row = next((r for r in range(i, size) if m[r][i] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != i:
-            m[i], m[pivot_row] = m[pivot_row], m[i]
-            sign = -sign
-        for r in range(i + 1, size):
-            for c in range(i + 1, size):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
-            m[r][i] = 0
-        prev = m[i][i]
-    return sign * m[size - 1][size - 1]
-
-
-def integer_rank(matrix):
-    """Exact rank of an arbitrary integer matrix via Bareiss elimination."""
-    m = _copy(matrix)
-    if not m:
-        return 0
+    Yields (rank, col, swapped) as the pivot of column `col` is moved to
+    row `rank`, before the rows below it are eliminated; `swapped` tells
+    whether that took a row swap.  Columns with no pivot are skipped.
+    """
     nrows = len(m)
     ncols = len(m[0])
-    if any(len(row) != ncols for row in m):
-        raise ValueError("ragged matrix")
     rank = 0
     prev = 1
-    col = 0
     for col in range(ncols):
         pivot_row = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
         if pivot_row is None:
             continue
         if pivot_row != rank:
             m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        yield rank, col, pivot_row != rank
+        p = m[rank][col]
         for r in range(rank + 1, nrows):
             for c in range(col + 1, ncols):
-                m[r][c] = (m[r][c] * m[rank][col] - m[r][col] * m[rank][c]) // prev
+                m[r][c] = (m[r][c] * p - m[r][col] * m[rank][c]) // prev
             m[r][col] = 0
-        prev = m[rank][col]
+        prev = p
         rank += 1
         if rank == nrows:
-            break
-    return rank
+            return
+
+
+def integer_det(matrix):
+    """Exact determinant of a square integer matrix via Bareiss elimination."""
+    m = [list(row) for row in matrix]
+    size = len(m)
+    if any(len(row) != size for row in m):
+        raise ValueError("determinant requires a square matrix")
+    if size == 0:
+        return 1
+    sign = 1
+    for rank, col, swapped in _bareiss(m):
+        if col != rank:
+            return 0
+        if swapped:
+            sign = -sign
+    # A column left without a pivot leaves m[size - 1][size - 1] at 0.
+    return sign * m[size - 1][size - 1]
+
+
+def integer_rank(matrix):
+    """Exact rank of an arbitrary integer matrix via Bareiss elimination."""
+    m = [list(row) for row in matrix]
+    if not m:
+        return 0
+    if any(len(row) != len(m[0]) for row in m):
+        raise ValueError("ragged matrix")
+    return sum(1 for _ in _bareiss(m))

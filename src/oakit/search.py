@@ -10,10 +10,17 @@ capacities (colcap).  Every ordered symbol pair in every column pair must be
 used exactly lambda times, a capacity may never go negative, and a Hall-type
 availability argument discards rows whose remaining demand cannot be met.
 That argument is one flat table of rules, built once per kernel run, each
-demanding cap[d] <= sum(min(cap[x], cap[y])) over fixed index pairs.
-Because columns 0 and 1 are forced, the rows still to come with column-0
-symbol s0 number colcap[0][s0], and those with the pair (s0, s1) in columns
-0 and 1 number cap[(0,1)][s0][s1], so the rules read only live capacities.
+demanding cap[d] <= sum(min(cap[x], cap[y])) over fixed index pairs: each
+remaining demand in a column pair (a, b) with b >= 2 must fit through every
+column in {0, 1} other than a.  Because columns 0 and 1 are forced, the
+rows still to come with the pair (s0, s1) in those columns number
+cap[(0,1)][s0][s1], so the rules read only live capacities.  No rule
+compares a demand with a column capacity: on a complete row such a rule
+always holds.
+
+`maximize_stages` runs the exists-search at each forced multiplicity from
+the counting bound's floor down; `oracle_max_multiplicity` and the CLI's
+`search --maximize` both consume it.
 
 Within a cell, candidate symbols are tried in descending order; the visit
 order of a fully traversed tree does not affect which nodes are visited
@@ -45,6 +52,7 @@ __all__ = [
     "SearchProblem",
     "SearchResult",
     "search_oa",
+    "maximize_stages",
     "oracle_max_multiplicity",
     "generate_linear_oa",
 ]
@@ -118,17 +126,19 @@ class _Stop(Exception):
     """Internal signal: a budget ran out mid-traversal."""
 
 
-def _hall_rules(n, k, pidx, colbase):
+def _hall_rules(n, k, pidx):
     """The Hall-type availability rules, as one flat table.
 
     A rule (d, ((x, y), ...)) holds when cap[d] <= sum(min(cap[x], cap[y])).
     Each remaining demand cap[(a,b)][sa][sb] with b >= 2 must fit through
     every other column v in {0, 1}: a row with (sa, sb) in (a, b) takes some
-    symbol s in column v, which needs room in both (v, a) and (v, b).  Each
-    demand cap[(0,b)][s0][sb] must also fit under colcap[0][s0], a rule with
-    the single pair (colcap[0][s0], colcap[0][s0]).  The (a, b >= 2) rules
-    through column 1 come first because nearly every rejection happens
-    there; the verdict does not depend on the order.
+    symbol s in column v, which needs room in both (v, a) and (v, b).  The
+    (a, b >= 2) rules through column 1 come first because nearly every
+    rejection happens there; the verdict does not depend on the order.
+
+    No rule bounds cap[(0,b)][s0][sb] by colcap[0][s0]: on the complete rows
+    `_hall` is called on, colcap[0][s0] equals the sum of cap[(0,b)][s0][.]
+    and no capacity is negative, so such a rule could never fail.
     """
 
     def cell(a, b, sa, sb):
@@ -154,10 +164,6 @@ def _hall_rules(n, k, pidx, colbase):
     for a, via in ((0, 1), (1, 0)):
         for b in range(2, k):
             rules += through(via, a, b)
-    for b in range(1, k):
-        for s0 in range(n):
-            col = colbase + s0
-            rules += [(cell(0, b, s0, sb), ((col, col),)) for sb in range(n)]
     return tuple(rules)
 
 
@@ -195,12 +201,11 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
             npairs += 1
     # One capacity list: the pair blocks, then colcap[c][s] at cc + c*n + s.
     # Sorted rows force columns 0 and 1 as functions of the row index, so
-    # before row r, colcap[0][s0] counts the rows >= r with forced column 0
-    # equal to s0, and block (0, 1) counts those with forced pair (s0, s1).
-    # The Hall rules therefore read only live capacities, no per-row tables.
+    # before row r, block (0, 1) counts the rows >= r with forced pair
+    # (s0, s1): the Hall rules read only live capacities, no per-row tables.
     cc = npairs * n2
     cap = [lam] * cc + [lns] * (k * n)
-    rules = _hall_rules(n, k, pidx, cc)
+    rules = _hall_rules(n, k, pidx)
     f0 = [r // lns for r in range(N)]
     f1 = [(r % lns) // lam for r in range(N)]
 
@@ -395,30 +400,37 @@ def search_oa(problem, workers=1):
         pool.join()
 
 
+def maximize_stages(
+    n, k, lam, node_budget=None, wall_budget=None, ceiling=DEFAULT_CEILING, workers=1
+):
+    """Yield (m, SearchResult) of the exists-search at each forced multiplicity m.
+
+    Walks m down from the counting bound's floor to 1 and stops after the
+    first stage that is not exhausted: a found witness, or a budget that ran
+    out.  Each stage gets the full node and wall budgets.
+    """
+    for m in range(max_multiplicity(k, n, lam).integer_form, 0, -1):
+        problem = SearchProblem(
+            n, k, lam, m=m, node_budget=node_budget, wall_budget=wall_budget, ceiling=ceiling
+        )
+        result = search_oa(problem, workers=workers)
+        yield m, result
+        if result.status != EXHAUSTED:
+            return
+
+
 def oracle_max_multiplicity(
     n, k, lam, node_budget=None, wall_budget=None, ceiling=DEFAULT_CEILING, workers=1
 ):
     """Largest multiplicity m for which a witness array exists, with witness.
 
-    Descends from the counting bound's floor; every `no` along the way is
-    an exhaustive traversal, so the answer is ground truth, never a guess.
-    Returns (0, None) when no array with these parameters exists at all.
-    Raises BudgetExceeded if any stage hits its budget, since a truncated
-    search cannot certify nonexistence.
+    Consumes `maximize_stages`; every `no` along the way is an exhaustive
+    traversal, so the answer is ground truth, never a guess.  Returns
+    (0, None) when no array with these parameters exists at all.  Raises
+    BudgetExceeded if any stage hits its budget, since a truncated search
+    cannot certify nonexistence.
     """
-    bound = max_multiplicity(k, n, lam)
-    for m in range(bound.integer_form, 0, -1):
-        problem = SearchProblem(
-            n,
-            k,
-            lam,
-            m=m,
-            mode="exists",
-            node_budget=node_budget,
-            wall_budget=wall_budget,
-            ceiling=ceiling,
-        )
-        result = search_oa(problem, workers=workers)
+    for m, result in maximize_stages(n, k, lam, node_budget, wall_budget, ceiling, workers):
         if result.status == BUDGET_EXCEEDED:
             raise BudgetExceeded(
                 f"search with forced multiplicity {m} exceeded its budget",

@@ -45,6 +45,32 @@ def corrupt(array):
     return OrthogonalArray(array.n, array.k, tuple(rows))
 
 
+def forge(array):
+    """Move one cell of row 1 between two nonzero symbols.
+
+    Every row keeps its zero pattern, so each count the variance and cwc
+    audits take is unchanged, but a symbol pair of columns (0, 1) is lost.
+    """
+    rows = list(array.rows)
+    assert rows[0] == (0,) * array.k and rows[1][1] not in (0, 2)
+    rows[1] = rows[1][:1] + (2,) + rows[1][2:]
+    return OrthogonalArray(array.n, array.k, tuple(rows))
+
+
+@pytest.mark.parametrize(
+    "audit",
+    [
+        lambda array: variance_audit(array).report,
+        lambda array: cwc_certificate(normalize_to_row(array, 0), 1),
+    ],
+    ids=["variance", "cwc"],
+)
+def test_count_audits_reject_a_forged_array(oa65, audit):
+    assert audit(oa65).tight
+    with pytest.raises(NotAnOA):
+        audit(forge(oa65))
+
+
 # ---------------------------------------------------------------------------
 # variance audit
 # ---------------------------------------------------------------------------

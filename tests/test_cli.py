@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from oakit import format_oa, stack
+from oakit import OrthogonalArray, format_oa, stack
 from oakit.cli import main
 
 
@@ -180,6 +180,19 @@ def test_audit_variance_catches_corruption(capsys, corrupt_file):
     code, out = run(capsys, "audit", corrupt_file, "--method", "variance")
     assert code == 1
     assert "failing-check" in out
+
+
+@pytest.mark.parametrize("method", ["variance", "cwc"])
+def test_count_audits_reject_a_forged_array(capsys, tmp_path, oa65, method):
+    # one cell of row 1 moves between two nonzero symbols: every zero count
+    # the audit takes is unchanged, but the array loses a symbol pair
+    rows = list(oa65.rows)
+    rows[1] = (0, 2) + rows[1][2:]
+    path = tmp_path / "forged.txt"
+    path.write_text(format_oa(OrthogonalArray(5, 6, tuple(rows))))
+    code, out = run(capsys, "audit", str(path), "--method", method)
+    assert code == 1
+    assert out.endswith("error not-an-oa\n")
 
 
 def test_audit_td_rank_rejects_non_array(capsys, corrupt_file):

@@ -11,6 +11,7 @@ from oakit import (
     SearchProblem,
     UnsupportedParameters,
     generate_linear_oa,
+    maximize_stages,
     oracle_max_multiplicity,
     row_multiplicities,
     search_oa,
@@ -267,6 +268,16 @@ def test_oracle_values():
     m, witness = oracle_max_multiplicity(3, 5, 3)
     assert m == 2
     assert strength_lambda(witness) == 3
+
+
+def test_maximize_stages_stop_after_the_first_stage_not_exhausted():
+    def walk(*args, **options):
+        return [(m, r.status, r.nodes_explored) for m, r in maximize_stages(*args, **options)]
+
+    # floor(16/5) = 3, but no 16-run array of 4 binary columns repeats a row 3 times
+    assert walk(2, 4, 4) == [(3, "exhausted-no-solution", 20), (2, "found", 37)]
+    assert walk(2, 4, 4, node_budget=10) == [(3, "budget-exceeded", 10)]
+    assert walk(2, 5, 1) == []
 
 
 def test_oracle_when_no_array_exists():
