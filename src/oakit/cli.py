@@ -386,7 +386,7 @@ def _build_parser():
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--m", type=int)
     p.add_argument("--maximize", action="store_true")
-    p.add_argument("--budget", type=int, help="node budget")
+    p.add_argument("--budget", type=int, help="node budget (per stage with --maximize)")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(handler=cmd_search)
 

@@ -16,7 +16,11 @@ column in {0, 1} other than a.  Because columns 0 and 1 are forced, the
 rows still to come with the pair (s0, s1) in those columns number
 cap[(0,1)][s0][s1], so the rules read only live capacities.  No rule
 compares a demand with a column capacity: on a complete row such a rule
-always holds.
+always holds.  The state before a row passed every rule, so after placing
+the row only the rules it can break are rechecked: in family (via, a, b),
+those whose demand (sa, sb) matches the row in exactly one of columns a
+and b, 2(n-1) of the n*n rules per family.  The set depends on the row
+alone and is memoized per row within one kernel run.
 
 `maximize_stages` runs the exists-search at each forced multiplicity from
 the counting bound's floor down; `oracle_max_multiplicity` and the CLI's
@@ -94,8 +98,14 @@ class SearchProblem:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 <= self.m <= self.N:
             raise ValueError("forced multiplicity out of range")
-        if self.node_budget is not None and self.node_budget < 0:
-            raise ValueError("node budget must be nonnegative")
+        budget = self.node_budget
+        if budget is not None and (
+            isinstance(budget, bool) or not isinstance(budget, int) or budget < 0
+        ):
+            raise ValueError("node budget must be a nonnegative int")
+        wall = self.wall_budget
+        if wall is not None and not (isinstance(wall, (int, float)) and wall >= 0):
+            raise ValueError("wall budget must be a number >= 0")
         if self.N > self.ceiling:
             raise CeilingExceeded(
                 f"{self.N} rows exceeds the configured ceiling of {self.ceiling}"
@@ -189,6 +199,20 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
     Returns a dict with keys status/nodes/witness/solutions/children.  With
     collect_children=True the first free row is enumerated (in candidate
     order, applying all pruning) without recursing, for the parallel driver.
+
+    The prefix is checked against every Hall rule; each complete row after
+    it is checked only against the rules it can break.  Why that suffices:
+    the state before the row passed every rule (the prefix check, then
+    every accepted row), and a row lowers exactly one cell per column-pair
+    block.  A rule's slack sum(min(cap[x], cap[y])) - cap[d] loses at most
+    one per term that reads a lowered cell and gains one if d was lowered,
+    so a rule with no more such terms than lowered demands still holds.  In
+    family (via, a, b) with demand d = (a, b, sa, sb) only the term
+    s = row[via] can be touched: its x is lowered iff sa == row[a], its y
+    iff sb == row[b], and when both are, d is lowered too.  The rules to
+    recheck are thus those with (sa == row[a]) != (sb == row[b]), kept in
+    table order.  `recheck` memoizes them per row, so it holds at most one
+    entry per distinct complete row tried in this call.
     """
     N = lam * n * n
     lns = lam * n
@@ -242,6 +266,17 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
         return out
 
     found = [False]
+    recheck = {}
+
+    def touched(row):
+        """The rules the complete row `row` can break, in table order: those
+        with more terms reading a lowered cell than lowered demands."""
+        low = {pidx[a][c] * n2 + row[a] * n + row[c] for c in range(k) for a in range(c)}
+        return tuple(
+            rule
+            for rule in rules
+            if sum(x in low or y in low for x, y in rule[1]) > (rule[0] in low)
+        )
 
     def dfs(r):
         if node_budget is not None and out["nodes"] == node_budget:
@@ -258,24 +293,33 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
             return
         row = grid[r]
         prev = grid[r - 1] if r > 0 else None
+        # offs[c]: where column c's symbol lands in cap (colcap, then the
+        # (a, c) blocks at row[a]); fixed while columns < c keep their symbols.
+        offs = [None] * k
         c = 0
         tight = [True] + [False] * k
         row[0] = -1
         while c >= 0:
             if c == k:
-                if _hall(cap, rules):
+                key = tuple(row)
+                sub = recheck.get(key)
+                if sub is None:
+                    sub = recheck[key] = touched(key)
+                if _hall(cap, sub):
                     if collect_children and r == start_r:
-                        out["children"].append(tuple(row))
+                        out["children"].append(key)
                     else:
                         dfs(r + 1)
                 if found[0] and mode == "exists":
                     return
                 c -= 1
                 s = row[c]
-                for a in range(c):
-                    cap[pidx[a][c] * n2 + row[a] * n + s] += 1
-                cap[cc + c * n + s] += 1
+                for o in offs[c]:
+                    cap[o + s] += 1
                 continue
+            if row[c] < 0:
+                offs[c] = [cc + c * n] + [pidx[a][c] * n2 + row[a] * n for a in range(c)]
+            co = offs[c]
             forced = f0[r] if c == 0 else (f1[r] if c == 1 else -1)
             lo = prev[c] if (prev is not None and tight[c]) else 0
             if forced >= 0:
@@ -286,22 +330,16 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
                 cands = range(start, lo - 1, -1)
             placed = False
             for s in cands:
-                if cap[cc + c * n + s] <= 0:
-                    continue
-                ok = True
-                for a in range(c):
-                    if cap[pidx[a][c] * n2 + row[a] * n + s] <= 0:
-                        ok = False
+                for o in co:
+                    if cap[o + s] <= 0:
                         break
-                if not ok:
-                    continue
-                row[c] = s
-                for a in range(c):
-                    cap[pidx[a][c] * n2 + row[a] * n + s] -= 1
-                cap[cc + c * n + s] -= 1
-                tight[c + 1] = tight[c] and (prev is not None and s == prev[c])
-                placed = True
-                break
+                else:
+                    row[c] = s
+                    for o in co:
+                        cap[o + s] -= 1
+                    tight[c + 1] = tight[c] and (prev is not None and s == prev[c])
+                    placed = True
+                    break
             if placed:
                 c += 1
                 if c < k:
@@ -311,9 +349,8 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
                 c -= 1
                 if c >= 0:
                     s = row[c]
-                    for a in range(c):
-                        cap[pidx[a][c] * n2 + row[a] * n + s] += 1
-                    cap[cc + c * n + s] += 1
+                    for o in offs[c]:
+                        cap[o + s] += 1
 
     try:
         dfs(start_r)

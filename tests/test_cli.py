@@ -263,6 +263,16 @@ def test_search_maximize(capsys):
     assert "# stage m=2 status found nodes 11614" in out
 
 
+def test_search_maximize_budget_applies_per_stage(capsys):
+    # each stage gets the full budget, so 57 nodes in total fit a budget of 40
+    argv = ("--n", "2", "--k", "4", "--lambda", "4", "--maximize", "--budget", "40")
+    code, out = run(capsys, "search", *argv)
+    assert code == 0
+    assert "# stage m=3 status exhausted-no-solution nodes 20" in out
+    assert "# stage m=2 status found nodes 37" in out
+    assert "# nodes 57\n# m-star 2\n# status found\n" in out
+
+
 def test_search_maximize_conflicts_with_m(capsys):
     code, _ = run(capsys, "search", "--n", "2", "--k", "3", "--lambda", "2", "--m", "1", "--maximize")
     assert code == 2

@@ -111,6 +111,12 @@ def test_pinned_search_outcomes(n, k, lam, m, status, nodes):
 
 
 def test_count_agrees_with_brute_force_enumeration():
+    # every case with lambda*n*n <= 8 whose brute force enumerates at most
+    # about 1e5 row multisets, at every forced multiplicity
+    for k, lam in [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2)]:
+        for m in range(lam + 1):
+            result = search_oa(SearchProblem(2, k, lam, m=m, mode="count"))
+            assert result.solution_count == brute_count(2, k, lam, m), (k, lam, m)
     result = search_oa(SearchProblem(2, 2, 1, mode="count"))
     assert result.solution_count == brute_count(2, 2, 1) == 1
     assert result.nodes_explored == 5
@@ -154,6 +160,22 @@ def test_exhaustion_needs_full_traversal():
     assert short.nodes_explored == 15148
     full = search_oa(SearchProblem(3, 5, 3, m=3, node_budget=15149))
     assert full.status == "exhausted-no-solution"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "budgets",
+    [
+        dict(node_budget=100.5),  # once ran out at 100.5 nodes on 2 workers, never on 1
+        dict(node_budget=True),
+        dict(wall_budget=float("nan")),  # once ignored
+        dict(wall_budget=-1.0),
+        dict(wall_budget="1"),
+    ],
+)
+def test_budgets_are_validated(budgets, workers):
+    with pytest.raises(ValueError):
+        search_oa(SearchProblem(3, 5, 3, m=3, **budgets), workers=workers)
 
 
 def test_wall_clock_budget():
@@ -469,6 +491,19 @@ SWEEP = [
 def test_hall_matches_reference_on_small_parameters(monkeypatch, n, k, lam, m):
     result, verdicts = differential_search(monkeypatch, n, k, lam, m=m, mode="count")
     assert len(verdicts) >= result.nodes_explored
+
+
+# Wide arrays under a node budget: many column pairs, so many distinct
+# recheck sets, each checked against the full reference predicate; and a
+# 27-row case where rules through column 0 reject early.
+WIDE = [(2, 8, 2, 0), (2, 8, 2, 1), (2, 12, 3, 1), (3, 7, 2, 0), (3, 7, 2, 1), (3, 6, 3, 1)]
+
+
+@pytest.mark.parametrize("n,k,lam,m", WIDE)
+def test_hall_matches_reference_on_wide_arrays(monkeypatch, n, k, lam, m):
+    result, verdicts = differential_search(monkeypatch, n, k, lam, m=m, node_budget=2000)
+    assert result.nodes_explored <= 2000
+    assert True in verdicts and False in verdicts
 
 
 # ---------------------------------------------------------------------------
