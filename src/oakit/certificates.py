@@ -498,7 +498,12 @@ class RootVectorFamily:
 
 
 def root_vector_family(array):
-    """The 1 + k(n-1) exponent vectors attached to an array."""
+    """The 1 + k(n-1) exponent vectors attached to an array.
+
+    Raises NonintegralIndex when N is not a multiple of n*n, before any
+    vector is built: no such array is orthogonal.
+    """
+    _index_of(array)
     n, k = array.n, array.k
     labels = ["C0"]
     vectors = [tuple([0] * array.N)]

@@ -4,23 +4,25 @@ The search enumerates arrays whose rows are in nondecreasing lexicographic
 order (one representative per row multiset), with an optional forced
 multiplicity m that pins the first m rows to all-zeros.  Sorting makes the
 first two columns a function of the row index alone, so only cells from
-column 2 on branch.  One list of remaining capacities drives the pruning:
-the symbol-pair capacities of every column pair, then the per-column symbol
-capacities (colcap).  Every ordered symbol pair in every column pair must be
-used exactly lambda times, a capacity may never go negative, and a Hall-type
-availability argument discards rows whose remaining demand cannot be met.
-That argument is one flat table of rules, built once per kernel run, each
-demanding cap[d] <= sum(min(cap[x], cap[y])) over fixed index pairs: each
-remaining demand in a column pair (a, b) with b >= 2 must fit through every
-column in {0, 1} other than a.  Because columns 0 and 1 are forced, the
-rows still to come with the pair (s0, s1) in those columns number
-cap[(0,1)][s0][s1], so the rules read only live capacities.  No rule
-compares a demand with a column capacity: on a complete row such a rule
-always holds.  The state before a row passed every rule, so after placing
-the row only the rules it can break are rechecked: in family (via, a, b),
-those whose demand (sa, sb) matches the row in exactly one of columns a
-and b, 2(n-1) of the n*n rules per family.  The set depends on the row
-alone and is memoized per row within one kernel run.
+column 2 on branch.  The pinned rows are forced whole and placed by the
+same DFS cell loop as every other row, but they are not search nodes.  One
+list of remaining capacities drives the pruning: the symbol-pair capacities
+of every column pair, then the per-column symbol capacities (colcap).
+Every ordered symbol pair in every column pair must be used exactly lambda
+times, a capacity may never go negative, and a Hall-type availability
+argument discards rows whose remaining demand cannot be met.  That argument
+is one flat table of rules, built once per kernel run, each demanding
+cap[d] <= sum(min(cap[x], cap[y])) over fixed index pairs: each remaining
+demand in a column pair (a, b) with b >= 2 must fit through every column in
+{0, 1} other than a.  Because columns 0 and 1 are forced, the rows still to
+come with the pair (s0, s1) in those columns number cap[(0,1)][s0][s1], so
+the rules read only live capacities.  No rule compares a demand with a
+column capacity: on a complete row such a rule always holds.  The state
+before a row passed every rule, so after placing the row only the rules it
+can break are rechecked: in family (via, a, b), those whose demand (sa, sb)
+matches the row in exactly one of columns a and b, 2(n-1) of the n*n rules
+per family.  The set depends on the row alone and is memoized per row
+within one kernel run.
 
 `maximize_stages` runs the exists-search at each forced multiplicity from
 the counting bound's floor down; `oracle_max_multiplicity` and the CLI's
@@ -33,10 +35,10 @@ reaches witnesses for the hardest in-scope instances far sooner.
 
 Node budgets are exact: a search stops the moment the node counter would
 pass the budget, and the multi-worker mode replays per-subtree node counts
-in candidate order so that status, witness, and node count are identical to
-the single-worker run for any worker count.  A wall budget becomes one
-absolute deadline, checked before the first node and every 1024 nodes after;
-in multi-worker mode the probe and every subtree share it.
+in candidate order so that status, witness, node count and solution count
+are identical to the single-worker run for any worker count.  A wall budget
+becomes one absolute deadline, checked before the first node and every 1024
+nodes after; in multi-worker mode the probe and every subtree share it.
 """
 
 import os
@@ -92,6 +94,8 @@ class SearchProblem:
     def __post_init__(self):
         if self.t != 2:
             raise UnsupportedParameters("search supports strength 2 only")
+        if any(type(v) is not int for v in (self.n, self.k, self.lam, self.m)):
+            raise ValueError("n, k, lambda and m must be ints")
         if self.n < 2 or self.k < 2 or self.lam < 1:
             raise ValueError("need n >= 2, k >= 2, lambda >= 1")
         if self.mode not in ("exists", "count"):
@@ -122,7 +126,7 @@ class SearchResult:
 
     `achieved_multiplicity` is the maximum row multiplicity of the witness
     (0 when there is none); `solution_count` is meaningful in count mode
-    and equals 1/0 in exists mode.
+    and equals 1/0 in exists mode; a budget-exceeded run has neither.
     """
 
     status: str
@@ -134,6 +138,16 @@ class SearchResult:
 
 class _Stop(Exception):
     """Internal signal: a budget ran out mid-traversal."""
+
+
+# Set in pool workers only, by the pool initializer: shared memory reaches a
+# worker when it starts, not as a task argument.
+_stop_flag = None
+
+
+def _set_stop_flag(flag):
+    global _stop_flag
+    _stop_flag = flag
 
 
 def _hall_rules(n, k, pidx):
@@ -199,6 +213,9 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
     Returns a dict with keys status/nodes/witness/solutions/children.  With
     collect_children=True the first free row is enumerated (in candidate
     order, applying all pruning) without recursing, for the parallel driver.
+    `force[r][c]` is the symbol row r must take in column c, or -1 where it
+    branches; the prefix rows are forced whole (so they must follow the
+    forced columns 0 and 1) and are not nodes.
 
     The prefix is checked against every Hall rule; each complete row after
     it is checked only against the rules it can break.  Why that suffices:
@@ -214,6 +231,16 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
     table order.  `recheck` memoizes them per row, so it holds at most one
     entry per distinct complete row tried in this call.
     """
+    out = {
+        "status": EXHAUSTED,
+        "nodes": 0,
+        "witness": None,
+        "solutions": 0,
+        "children": [] if collect_children else None,
+    }
+    stop = _stop_flag
+    if stop is not None and stop.value:
+        return dict(out, status=BUDGET_EXCEEDED)
     N = lam * n * n
     lns = lam * n
     n2 = n * n
@@ -230,42 +257,12 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
     cc = npairs * n2
     cap = [lam] * cc + [lns] * (k * n)
     rules = _hall_rules(n, k, pidx)
-    f0 = [r // lns for r in range(N)]
-    f1 = [(r % lns) // lam for r in range(N)]
-
-    out = {
-        "status": EXHAUSTED,
-        "nodes": 0,
-        "witness": None,
-        "solutions": 0,
-        "children": [] if collect_children else None,
-    }
+    start_r = len(prefix)
+    force = [list(row) for row in prefix] + [
+        [r // lns, (r % lns) // lam] + [-1] * (k - 2) for r in range(start_r, N)
+    ]
 
     grid = [[0] * k for _ in range(N)]
-    for i, prow in enumerate(prefix):
-        if prow[0] != f0[i] or prow[1] != f1[i]:
-            return out
-        if i and tuple(prow) < tuple(prefix[i - 1]):
-            return out
-        for c in range(k):
-            s = prow[c]
-            if cap[cc + c * n + s] <= 0:
-                return out
-            for a in range(c):
-                if cap[pidx[a][c] * n2 + prow[a] * n + s] <= 0:
-                    return out
-        for c in range(k):
-            s = prow[c]
-            cap[cc + c * n + s] -= 1
-            for a in range(c):
-                cap[pidx[a][c] * n2 + prow[a] * n + s] -= 1
-        grid[i] = list(prow)
-    start_r = len(prefix)
-
-    if start_r < N and not _hall(cap, rules):
-        return out
-
-    found = [False]
     recheck = {}
 
     def touched(row):
@@ -279,20 +276,25 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
         )
 
     def dfs(r):
-        if node_budget is not None and out["nodes"] == node_budget:
-            raise _Stop
-        if deadline is not None and not out["nodes"] & 1023:
-            if time.monotonic() > deadline:
+        if r >= start_r:
+            if r == start_r and r < N and not _hall(cap, rules):
+                return
+            if node_budget is not None and out["nodes"] == node_budget:
                 raise _Stop
-        out["nodes"] += 1
-        if r == N:
-            out["solutions"] += 1
-            if out["witness"] is None:
-                out["witness"] = [tuple(row) for row in grid]
-            found[0] = True
-            return
+            if stop is not None and stop.value:
+                raise _Stop
+            if deadline is not None and not out["nodes"] & 1023:
+                if time.monotonic() > deadline:
+                    raise _Stop
+            out["nodes"] += 1
+            if r == N:
+                out["solutions"] += 1
+                if out["witness"] is None:
+                    out["witness"] = [tuple(row) for row in grid]
+                return
         row = grid[r]
         prev = grid[r - 1] if r > 0 else None
+        fr = force[r]
         # offs[c]: where column c's symbol lands in cap (colcap, then the
         # (a, c) blocks at row[a]); fixed while columns < c keep their symbols.
         offs = [None] * k
@@ -301,16 +303,19 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
         row[0] = -1
         while c >= 0:
             if c == k:
-                key = tuple(row)
-                sub = recheck.get(key)
-                if sub is None:
-                    sub = recheck[key] = touched(key)
-                if _hall(cap, sub):
-                    if collect_children and r == start_r:
-                        out["children"].append(key)
-                    else:
-                        dfs(r + 1)
-                if found[0] and mode == "exists":
+                if r < start_r:
+                    dfs(r + 1)
+                else:
+                    key = tuple(row)
+                    sub = recheck.get(key)
+                    if sub is None:
+                        sub = recheck[key] = touched(key)
+                    if _hall(cap, sub):
+                        if collect_children and r == start_r:
+                            out["children"].append(key)
+                        else:
+                            dfs(r + 1)
+                if out["solutions"] and mode == "exists":
                     return
                 c -= 1
                 s = row[c]
@@ -320,7 +325,7 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
             if row[c] < 0:
                 offs[c] = [cc + c * n] + [pidx[a][c] * n2 + row[a] * n for a in range(c)]
             co = offs[c]
-            forced = f0[r] if c == 0 else (f1[r] if c == 1 else -1)
+            forced = fr[c]
             lo = prev[c] if (prev is not None and tight[c]) else 0
             if forced >= 0:
                 usable = row[c] < forced and forced >= lo
@@ -353,10 +358,9 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
                         cap[o + s] += 1
 
     try:
-        dfs(start_r)
+        dfs(0)
     except _Stop:
-        out["status"] = BUDGET_EXCEEDED
-        return out
+        return dict(out, status=BUDGET_EXCEEDED, witness=None, solutions=0)
     out["status"] = FOUND if out["witness"] is not None else EXHAUSTED
     return out
 
@@ -366,46 +370,45 @@ def _pool_size(workers, subtrees):
     return min(workers, subtrees, os.cpu_count() or 1)
 
 
-def _finish(problem, status, witness_rows, nodes, solutions):
+def _finish(problem, raw):
     witness = None
     achieved = 0
-    if witness_rows is not None:
-        witness = OrthogonalArray(problem.n, problem.k, tuple(witness_rows))
+    if raw["witness"] is not None:
+        witness = OrthogonalArray(problem.n, problem.k, tuple(raw["witness"]))
         strength_lambda(witness, 2)
         achieved = row_multiplicities(witness).max_multiplicity
-    return SearchResult(status, witness, nodes, achieved, solutions)
+    return SearchResult(raw["status"], witness, raw["nodes"], achieved, raw["solutions"])
 
 
 def search_oa(problem, workers=1):
     """Run the canonical search; results are identical for any worker count.
 
-    With workers > 1, the first free row's candidate values are enumerated
-    once, each resulting subtree runs in its own process, and the subtree
-    results are merged by replaying them in candidate order with the exact
-    single-worker budget accounting.  A found witness therefore is the one
-    the sequential search would report, and exhaustion still means the full
-    canonical tree was traversed.
+    One kernel run is the whole search on one worker.  With workers > 1 the
+    same run stops at the first free row and hands back its candidates;
+    each subtree runs in a pool process, and the results are merged by
+    replaying them in candidate order with the exact single-worker budget
+    accounting.  A found witness therefore is the one the sequential search
+    would report, and exhaustion still means the full tree was traversed.
+
+    A run stopped by a budget reports no witness and solution_count 0.  A
+    run stopped by its wall budget reports the nodes replayed in candidate
+    order, never the node budget unless that budget was reached.
     """
     p = problem
-    prefix = tuple(tuple([0] * p.k) for _ in range(p.m))
+    prefix = ((0,) * p.k,) * p.m
     deadline = None if p.wall_budget is None else time.monotonic() + p.wall_budget
-    if workers <= 1:
-        raw = _kernel(p.n, p.k, p.lam, prefix, p.mode, p.node_budget, deadline)
-        return _finish(p, raw["status"], raw["witness"], raw["nodes"], raw["solutions"])
+    raw = _kernel(
+        p.n, p.k, p.lam, prefix, p.mode, p.node_budget, deadline, collect_children=workers > 1
+    )
+    children = raw["children"]
+    if raw["status"] == BUDGET_EXCEEDED or not children:
+        return _finish(p, raw)
 
-    if p.node_budget == 0:
-        return SearchResult(BUDGET_EXCEEDED, None, 0, 0, 0)
-    probe = _kernel(p.n, p.k, p.lam, prefix, p.mode, None, deadline, collect_children=True)
-    if probe["status"] == BUDGET_EXCEEDED:
-        return SearchResult(BUDGET_EXCEEDED, None, probe["nodes"], 0, 0)
-    children = probe["children"]
-    if probe["nodes"] == 0 or not children:
-        raw = _kernel(p.n, p.k, p.lam, prefix, p.mode, p.node_budget, deadline)
-        return _finish(p, raw["status"], raw["witness"], raw["nodes"], raw["solutions"])
-
-    budget = p.node_budget
-    task_budget = None if budget is None else budget - 1
-    pool = get_context().Pool(processes=_pool_size(workers, len(children)))
+    limit = float("inf") if p.node_budget is None else p.node_budget
+    task_budget = None if p.node_budget is None else p.node_budget - 1
+    ctx = get_context()
+    stop = ctx.RawValue("b", 0)
+    pool = ctx.Pool(_pool_size(workers, len(children)), _set_stop_flag, (stop,))
     try:
         pending = [
             pool.apply_async(
@@ -413,27 +416,23 @@ def search_oa(problem, workers=1):
             )
             for child in children
         ]
-        cum = 1
-        solutions = 0
-        witness = None
         for handle in pending:
             res = handle.get()
-            avail = None if budget is None else budget - cum
-            over = avail is not None and res["nodes"] > avail
-            if res["status"] == BUDGET_EXCEEDED or over:
-                nodes = budget if budget is not None else cum + res["nodes"]
-                return SearchResult(BUDGET_EXCEEDED, None, nodes, 0, 0)
-            cum += res["nodes"]
-            solutions += res["solutions"]
-            if witness is None and res["witness"] is not None:
-                witness = res["witness"]
-            if p.mode == "exists" and res["status"] == FOUND:
-                pool.terminate()
-                return _finish(p, FOUND, witness, cum, solutions)
-        status = FOUND if witness is not None else EXHAUSTED
-        return _finish(p, status, witness, cum, solutions)
+            raw["nodes"] += res["nodes"]
+            if res["status"] == BUDGET_EXCEEDED or raw["nodes"] > limit:
+                return SearchResult(BUDGET_EXCEEDED, None, min(raw["nodes"], limit), 0, 0)
+            raw["solutions"] += res["solutions"]
+            raw["witness"] = raw["witness"] or res["witness"]
+            if raw["witness"] and p.mode == "exists":
+                break
+        raw["status"] = FOUND if raw["witness"] is not None else EXHAUSTED
+        return _finish(p, raw)
     finally:
-        pool.terminate()
+        # Running subtrees stop at their next node and the workers exit on
+        # their own: a worker killed while it holds the result queue's lock
+        # would leave the pool's shutdown waiting forever.
+        stop.value = 1
+        pool.close()
         pool.join()
 
 

@@ -2,10 +2,16 @@ import itertools
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from oakit import BlockDesign, OrthogonalArray, generate_linear_oa, parse_oa, stack
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+# Property tests draw the same examples on every run and are never failed
+# for being slow on a loaded host; no example database is written.
+settings.register_profile("oakit", derandomize=True, deadline=None, database=None)
+settings.load_profile("oakit")
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oakit import (
     BlockDesign,
@@ -273,6 +275,17 @@ def test_bibd_round_trip(fano):
 def test_parse_bibd_rejects_malformed(text):
     with pytest.raises(FormatError):
         parse_bibd(text)
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.text(max_size=60), st.text(alphabet="0123 -x#\n\t", max_size=40)))
+def test_parsers_raise_only_format_errors(text):
+    # arbitrary text, and text made of the format's own characters
+    for parse in (parse_oa, parse_bibd):
+        try:
+            parse(text)
+        except FormatError:
+            pass
 
 
 def test_multiplicity_report_rejects_wrong_maximum():

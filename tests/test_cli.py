@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -193,6 +194,19 @@ def test_count_audits_reject_a_forged_array(capsys, tmp_path, oa65, method):
     code, out = run(capsys, "audit", str(path), "--method", method)
     assert code == 1
     assert out.endswith("error not-an-oa\n")
+
+
+@pytest.mark.parametrize("method", ["roots", "shortened"])
+def test_root_audits_reject_a_nonintegral_index_at_once(capsys, tmp_path, method):
+    # 2 rows over 400 symbols: the 799-vector family was built before the
+    # index was checked, which took minutes
+    path = tmp_path / "wide.txt"
+    path.write_text("400 2\n0 0\n1 1\n")
+    start = time.perf_counter()
+    code, out = run(capsys, "audit", str(path), "--method", method)
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out.endswith("error non-integral-index\n")
 
 
 def test_audit_td_rank_rejects_non_array(capsys, corrupt_file):

@@ -1,8 +1,14 @@
 import functools
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oakit.search as search_module
 from oakit import (
@@ -207,6 +213,10 @@ def test_argument_validation():
         SearchProblem(2, 3, 1, m=-1)
     with pytest.raises(ValueError):
         SearchProblem(2, 3, 1, m=5)  # exceeds the row count
+    # n, k, lambda and m must be ints; a bool is not taken as 0 or 1
+    for bad in (dict(n=2.0), dict(k=3.0), dict(lam=1.5), dict(m=True), dict(n=True), dict(m=1.0)):
+        with pytest.raises(ValueError):
+            SearchProblem(**{"n": 2, "k": 3, "lam": 1, **bad})
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +254,36 @@ def test_parallel_triple_index_run():
     assert parallel.nodes_explored == 11614
 
 
+# Every case whose full count-mode tree takes at most about 0.1 s.
+SMALL = [(2, k, lam) for lam in (1, 2) for k in range(2, 7)]
+SMALL += [(2, k, 3) for k in range(2, 6)] + [(3, k, 1) for k in range(2, 5)]
+SMALL += [(3, 2, 2), (3, 3, 2)]
+
+
+@settings(max_examples=100)
+@given(
+    case=st.sampled_from(SMALL),
+    data=st.data(),
+    mode=st.sampled_from(["exists", "count"]),
+    budget=st.one_of(st.none(), st.sampled_from([0, 1]), st.integers(2, 300)),
+)
+def test_two_workers_agree_with_one(case, data, mode, budget):
+    n, k, lam = case
+    m = data.draw(st.integers(0, lam), label="m")
+    problem = SearchProblem(n, k, lam, m=m, mode=mode, node_budget=budget)
+    sequential = search_oa(problem)
+    parallel = search_oa(problem, workers=2)
+    assert parallel == sequential
+
+
+def test_parallel_wall_budget_never_reports_more_than_the_tree():
+    # The full count-mode tree of (2, 6, 3) has 74 921 nodes.  A subtree
+    # stopped by the deadline once made the run report the node budget.
+    problem = SearchProblem(2, 6, 3, mode="count", node_budget=10**9, wall_budget=0.5)
+    result = search_oa(problem, workers=2)
+    assert result.nodes_explored <= 74921
+
+
 @pytest.mark.parametrize(
     "workers,subtrees,cpus,size",
     [
@@ -265,6 +305,47 @@ def test_subtree_search_honours_an_absolute_deadline():
     raw = search_module._kernel(3, 5, 3, prefix, "exists", None, time.monotonic() - 1)
     assert raw["status"] == "budget-exceeded"
     assert raw["nodes"] == 0
+
+
+EARLY_EXITS = """
+from oakit import SearchProblem, search_oa
+for _ in range(10):
+    for n, k, lam, m in [(2, 4, 3, 0), (2, 5, 2, 1), (3, 4, 1, 1), (2, 4, 3, 2), (3, 3, 2, 1)]:
+        for budget in (None, 8, 20):
+            search_oa(SearchProblem(n, k, lam, m=m, node_budget=budget), workers=4)
+"""
+
+
+def test_parallel_runs_that_stop_early_never_hang():
+    # Killing the workers of a pool that still had subtrees running once hung
+    # now and then: a worker killed while it held the result queue's lock
+    # left the pool's shutdown waiting forever.  Run in a child process, so
+    # a hang fails the test at the timeout instead of stalling the suite.
+    src = pathlib.Path(search_module.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", EARLY_EXITS], env=env, check=True, timeout=120)
+
+
+class StopAfterReads:
+    """A stand-in for the pool's shared stop flag that is set after `reads` reads."""
+
+    def __init__(self, reads):
+        self.reads = reads
+
+    @property
+    def value(self):
+        self.reads -= 1
+        return int(self.reads < 0)
+
+
+@pytest.mark.parametrize("reads,nodes", [(0, 0), (1, 0), (6, 5)])
+def test_pool_stop_flag_stops_a_subtree_at_its_next_node(monkeypatch, reads, nodes):
+    # a pool worker's kernel reads the flag its parent sets once the answer
+    # is known, before it starts and at every node, so the pool can close
+    # without killing a worker
+    monkeypatch.setattr(search_module, "_stop_flag", StopAfterReads(reads))
+    raw = search_module._kernel(3, 5, 3, ((0,) * 5,) * 2, "exists", None, None)
+    assert (raw["status"], raw["nodes"], raw["witness"]) == ("budget-exceeded", nodes, None)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
