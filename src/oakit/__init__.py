@@ -15,173 +15,22 @@ The package bundles four kinds of operations:
   maximum achievable row multiplicity.
 """
 
-from .arrays import (
-    BlockDesign,
-    MultiplicityReport,
-    OrthogonalArray,
-    block_multiplicities,
-    format_bibd,
-    format_oa,
-    normalize_repeated_row,
-    normalize_to_row,
-    parse_bibd,
-    parse_oa,
-    row_multiplicities,
-    stack,
-    strength_lambda,
-    symbol_counts,
-    verify_bibd,
-)
-from .bounds import (
-    BoundResult,
-    DesignParameters,
-    OAParameters,
-    bibd_bounds,
-    equality_abar,
-    johnson_R,
-    max_multiplicity,
-    mqw_min_rows,
-    oa_to_cwc_params,
-    pb_min_lambda,
-    rao_min_rows,
-    rr_min_lambda,
-)
-from .certificates import (
-    AuditReport,
-    Check,
-    ConstantWeightCodeFamily,
-    IncidenceMatrix,
-    RootCountVector,
-    RootVectorFamily,
-    TransversalDesign,
-    VarianceAudit,
-    check_span_equations,
-    cwc_certificate,
-    extract_cwc,
-    gram_certificate,
-    incidence_matrix,
-    orthogonality_certificate,
-    rank_bound_certificate,
-    root_vector_family,
-    shortened_family_certificate,
-    to_transversal_design,
-    variance_audit,
-)
-from .cyclotomic import (
-    cyclotomic,
-    reduce_root_sum,
-    root_sum_float,
-    root_sum_is_zero,
-)
-from .errors import (
-    AuditFailure,
-    BudgetExceeded,
-    CeilingExceeded,
-    EquationViolated,
-    FormatError,
-    HypothesisViolated,
-    IdentityViolated,
-    InnerProductMismatch,
-    LemmaViolated,
-    NonintegralIndex,
-    NonOrthogonal,
-    NonpositiveDeterminant,
-    NotADesign,
-    NotAnOA,
-    OakitError,
-    RankDeficient,
-    UnsupportedParameters,
-    WeightMismatch,
-)
-from .linalg import integer_det, integer_rank
-from .search import (
-    DEFAULT_CEILING,
-    SearchProblem,
-    SearchResult,
-    generate_linear_oa,
-    maximize_stages,
-    oracle_max_multiplicity,
-    search_oa,
-)
+from . import arrays, bounds, certificates, cyclotomic, errors, linalg, search
+
+# Each module's __all__ is the one list of its public names; the package
+# exports exactly their union.
+__all__ = [
+    name
+    for module in (arrays, bounds, certificates, cyclotomic, errors, linalg, search)
+    for name in module.__all__
+]
+
+from .arrays import *  # noqa: E402, F403
+from .bounds import *  # noqa: E402, F403
+from .certificates import *  # noqa: E402, F403
+from .cyclotomic import *  # noqa: E402, F403
+from .errors import *  # noqa: E402, F403
+from .linalg import *  # noqa: E402, F403
+from .search import *  # noqa: E402, F403
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AuditFailure",
-    "AuditReport",
-    "BlockDesign",
-    "BoundResult",
-    "BudgetExceeded",
-    "CeilingExceeded",
-    "Check",
-    "ConstantWeightCodeFamily",
-    "DEFAULT_CEILING",
-    "DesignParameters",
-    "EquationViolated",
-    "FormatError",
-    "HypothesisViolated",
-    "IdentityViolated",
-    "IncidenceMatrix",
-    "InnerProductMismatch",
-    "LemmaViolated",
-    "MultiplicityReport",
-    "NonOrthogonal",
-    "NonintegralIndex",
-    "NonpositiveDeterminant",
-    "NotADesign",
-    "NotAnOA",
-    "OAParameters",
-    "OakitError",
-    "OrthogonalArray",
-    "RankDeficient",
-    "RootCountVector",
-    "RootVectorFamily",
-    "SearchProblem",
-    "SearchResult",
-    "TransversalDesign",
-    "UnsupportedParameters",
-    "VarianceAudit",
-    "WeightMismatch",
-    "bibd_bounds",
-    "block_multiplicities",
-    "check_span_equations",
-    "cwc_certificate",
-    "cyclotomic",
-    "equality_abar",
-    "extract_cwc",
-    "format_bibd",
-    "format_oa",
-    "generate_linear_oa",
-    "gram_certificate",
-    "incidence_matrix",
-    "integer_det",
-    "integer_rank",
-    "johnson_R",
-    "max_multiplicity",
-    "maximize_stages",
-    "mqw_min_rows",
-    "normalize_repeated_row",
-    "normalize_to_row",
-    "oa_to_cwc_params",
-    "oracle_max_multiplicity",
-    "orthogonality_certificate",
-    "parse_bibd",
-    "parse_oa",
-    "pb_min_lambda",
-    "rank_bound_certificate",
-    "rao_min_rows",
-    "reduce_root_sum",
-    "root_sum_float",
-    "root_sum_is_zero",
-    "root_vector_family",
-    "row_multiplicities",
-    "rr_min_lambda",
-    "search_oa",
-    "shortened_family_certificate",
-    "stack",
-    "strength_lambda",
-    "symbol_counts",
-    "to_transversal_design",
-    "variance_audit",
-    "verify_bibd",
-]

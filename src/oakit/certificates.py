@@ -5,6 +5,8 @@ array, checks every intermediate identity in exact integer or rational
 arithmetic, and reports the inequality the argument establishes for that
 instance.  A report serializes to one `CHECK <id> <lhs> <rhs> PASS|FAIL`
 line per identity plus a final `IMPLIES <lhs><=<rhs> PASS|FAIL|TIGHT` line.
+Every audit hands its finished report to `_require`, which raises the
+audit's typed AuditFailure at the first failing check.
 
 All the audits of a strength-2 array with index lambda over n symbols and
 k columns normalize to the same comparison, recorded in `canonical` form as
@@ -139,8 +141,25 @@ def _eq_check(check_id, lhs, rhs):
     return Check(check_id, _fmt(lhs), _fmt(rhs), lhs == rhs)
 
 
-def _first_failure(checks):
-    return next((c for c in checks if not c.passed), None)
+def _require(report, failure):
+    """Return `report` if it passed; otherwise raise at its first failing check.
+
+    `failure(check)` builds the audit's AuditFailure for the failing Check;
+    it is raised carrying `report` and the check's id.  A report whose
+    checks all pass but whose implied bound fails raises a plain
+    AuditFailure.
+    """
+    if report.passed:
+        return report
+    bad = next((c for c in report.checks if not c.passed), None)
+    if bad is None:
+        raise AuditFailure(
+            f"implied bound {_fmt(report.implied_lhs)}<={_fmt(report.implied_rhs)} fails",
+            report=report,
+        )
+    exc = failure(bad)
+    exc.report, exc.check_id = report, bad.check_id
+    raise exc
 
 
 def _index_of(array):
@@ -212,20 +231,10 @@ def variance_audit(array, m=1):
         checks.append(_eq_check("equality-counts", off, 0))
 
     implied = Fraction(lam * n * n - m, m * (n - 1))
-    report = AuditReport(
-        "variance",
-        tuple(checks),
-        k,
-        implied,
-        (m * (k * (n - 1) + 1), N),
+    report = AuditReport("variance", tuple(checks), k, implied, (m * (k * (n - 1) + 1), N))
+    _require(
+        report, lambda c: IdentityViolated(f"{c.check_id}: computed {c.lhs}, predicted {c.rhs}")
     )
-    bad = _first_failure(checks)
-    if bad is not None:
-        raise IdentityViolated(
-            f"{bad.check_id}: computed {bad.lhs}, predicted {bad.rhs}",
-            report=report,
-            check_id=bad.check_id,
-        )
     strength_lambda(array, 2)
     sums = ((sum_a, pred_a), (sum_pairs, pred_pairs), (sum_sq, pred_sq))
     return VarianceAudit(m, counts, sums, abar, ssd, implied, equality, report)
@@ -320,6 +329,7 @@ def check_span_equations(td):
     blocks, groups = rows[:N], rows[N:]
 
     checks = []
+    points = {}
     total_blocks = tuple(sum(col) for col in zip(*blocks))
     expect1 = tuple([lam * n] * nk)
     checks.append(Check("eq1", _fmt_vec(total_blocks), _fmt_vec(expect1), total_blocks == expect1))
@@ -333,25 +343,17 @@ def check_span_equations(td):
                 for p in range(nk):
                     lhs[p] += blocks[i][p]
         rhs = [lam + (lam * n if p == x else 0) for p in range(nk)]
-        checks.append(
-            Check(f"eq3@{x}", _fmt_vec(lhs), _fmt_vec(rhs), lhs == rhs)
-        )
+        check_id = f"eq3@{x}"
+        points[check_id] = x
+        checks.append(Check(check_id, _fmt_vec(lhs), _fmt_vec(rhs), lhs == rhs))
 
-    report = AuditReport(
-        "span-equations", tuple(checks), nk, N + k - 1, (k * (n - 1) + 1, N)
+    report = AuditReport("span-equations", tuple(checks), nk, N + k - 1, (k * (n - 1) + 1, N))
+    return _require(
+        report,
+        lambda c: EquationViolated(
+            f"{c.check_id}: {c.lhs} != {c.rhs}", coordinate=points.get(c.check_id)
+        ),
     )
-    bad = _first_failure(checks)
-    if bad is not None:
-        coord = None
-        if bad.check_id.startswith("eq3@"):
-            coord = int(bad.check_id.split("@")[1])
-        raise EquationViolated(
-            f"{bad.check_id}: {bad.lhs} != {bad.rhs}",
-            report=report,
-            check_id=bad.check_id,
-            coordinate=coord,
-        )
-    return report
 
 
 def rank_bound_certificate(incidence):
@@ -369,17 +371,10 @@ def rank_bound_certificate(incidence):
         _eq_check("rank", full, nk),
         _eq_check("rank-without-last-group", reduced, nk),
     )
-    report = AuditReport(
-        "td-rank", checks, nk, N + k - 1, (k * (n - 1) + 1, N)
+    report = AuditReport("td-rank", checks, nk, N + k - 1, (k * (n - 1) + 1, N))
+    return _require(
+        report, lambda c: RankDeficient(f"{c.check_id}: rank {c.lhs}, expected {c.rhs}")
     )
-    bad = _first_failure(checks)
-    if bad is not None:
-        raise RankDeficient(
-            f"{bad.check_id}: rank {bad.lhs}, expected {bad.rhs}",
-            report=report,
-            check_id=bad.check_id,
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -421,35 +416,23 @@ def gram_certificate(array):
         expected[p][p] += lam * n
     expected[nk][nk] += (k - 1) * lam
 
-    mismatches = sum(
-        1 for p in range(size) for q in range(size) if gram[p][q] != expected[p][q]
-    )
+    mismatches = [
+        (p, q) for p in range(size) for q in range(size) if gram[p][q] != expected[p][q]
+    ]
     det = integer_det(gram)
     checks = (
-        _eq_check("lemma-entrywise", mismatches, 0),
+        _eq_check("lemma-entrywise", len(mismatches), 0),
         Check("det-positive", str(det), "0", det > 0),
     )
     report = AuditReport("gram", checks, nk + 1, N + k, (k * (n - 1) + 1, N))
-    if mismatches:
-        bad = next(
-            (p, q)
-            for p in range(size)
-            for q in range(size)
-            if gram[p][q] != expected[p][q]
-        )
-        raise LemmaViolated(
-            f"Gram entry {bad}: got {gram[bad[0]][bad[1]]}, "
-            f"expected {expected[bad[0]][bad[1]]}",
-            report=report,
-            check_id="lemma-entrywise",
-        )
-    if det <= 0:
-        raise NonpositiveDeterminant(
-            f"Gram determinant {det} is not positive",
-            report=report,
-            check_id="det-positive",
-        )
-    return report
+
+    def failure(check):
+        if check.check_id == "det-positive":
+            return NonpositiveDeterminant(f"Gram determinant {det} is not positive")
+        p, q = mismatches[0]
+        return LemmaViolated(f"Gram entry {(p, q)}: got {gram[p][q]}, expected {expected[p][q]}")
+
+    return _require(report, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -522,45 +505,23 @@ def _orthogonality_report(family, method, implied_rhs, canonical, notes=()):
     checks = [_eq_check("family-size", size, 1 + k * (n - 1))]
     for a in range(size):
         reduced = family.product(a, a).reduced()
-        checks.append(
-            Check(
-                f"self@{family.labels[a]}",
-                _fmt_poly(reduced),
-                str(total),
-                reduced == (total,),
-            )
-        )
-    failures = []
+        label = f"self@{family.labels[a]}"
+        checks.append(Check(label, _fmt_poly(reduced), str(total), reduced == (total,)))
+    pair = residual = None
     for a, b in combinations(range(size), 2):
         reduced = family.product(a, b).reduced()
         ok = reduced == ()
-        checks.append(
-            Check(
-                f"orth@{family.labels[a]},{family.labels[b]}",
-                _fmt_poly(reduced),
-                "0",
-                ok,
-            )
-        )
-        if not ok:
-            failures.append((family.labels[a], family.labels[b], reduced))
-    report = AuditReport(
-        method, tuple(checks), 1 + k * (n - 1), implied_rhs, canonical, notes
+        la, lb = family.labels[a], family.labels[b]
+        checks.append(Check(f"orth@{la},{lb}", _fmt_poly(reduced), "0", ok))
+        if not ok and pair is None:
+            pair, residual = (la, lb), reduced
+    report = AuditReport(method, tuple(checks), 1 + k * (n - 1), implied_rhs, canonical, notes)
+    return _require(
+        report,
+        lambda c: NonOrthogonal(
+            f"{c.check_id}: reduced to {c.lhs}, expected {c.rhs}", pair=pair, residual=residual
+        ),
     )
-    bad = _first_failure(checks)
-    if bad is not None:
-        pair = residual = None
-        if failures:
-            la, lb, residual = failures[0]
-            pair = (la, lb)
-        raise NonOrthogonal(
-            f"{bad.check_id}: reduced to {bad.lhs}, expected {bad.rhs}",
-            report=report,
-            check_id=bad.check_id,
-            pair=pair,
-            residual=residual,
-        )
-    return report
 
 
 def orthogonality_certificate(family):
@@ -663,34 +624,20 @@ def cwc_certificate(array, m=1):
     implied = Fraction(lam * n * n - m, m * (n - 1))
     checks.append(_eq_check("johnson-equals-rr-bound", bound.value, implied))
 
-    report = AuditReport(
-        "cwc", tuple(checks), k, implied, (m * (k * (n - 1) + 1), N)
-    )
-    if not report.checks_passed:
-        raise _cwc_failure(report)
+    report = AuditReport("cwc", tuple(checks), k, implied, (m * (k * (n - 1) + 1), N))
+    _require(report, _cwc_error)
     strength_lambda(array, 2)
     return report
 
 
-def _cwc_failure(report):
-    """The typed AuditFailure of a cwc report that did not pass."""
-    bad = _first_failure(report.checks)
-    if bad is None:
-        return AuditFailure(
-            f"implied bound {_fmt(report.implied_lhs)}<={_fmt(report.implied_rhs)} fails",
-            report=report,
-        )
-    message = f"{bad.check_id}: got {bad.lhs}, expected {bad.rhs}"
-    if bad.check_id.startswith("weight@"):
-        return WeightMismatch(message, report=report, check_id=bad.check_id)
-    return InnerProductMismatch(message, report=report, check_id=bad.check_id)
+def _cwc_error(check):
+    """WeightMismatch for a codeword weight, InnerProductMismatch for any other check."""
+    error = WeightMismatch if check.check_id.startswith("weight@") else InnerProductMismatch
+    return error(f"{check.check_id}: got {check.lhs}, expected {check.rhs}")
 
 
 def extract_cwc(array, m):
     """Extract and fully verify the constant-weight code of a normalized array."""
-    report = cwc_certificate(array, m)
-    lam = _index_of(array)
-    ell, w, mu = oa_to_cwc_params(array.k, array.n, lam, m)
-    if not report.passed:
-        raise _cwc_failure(report)
+    _require(cwc_certificate(array, m), _cwc_error)
+    ell, w, mu = oa_to_cwc_params(array.k, array.n, _index_of(array), m)
     return ConstantWeightCodeFamily(ell, w, mu, _cwc_vectors(array, m))

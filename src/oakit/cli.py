@@ -6,6 +6,9 @@ exists, 2 = usage or input-format error, 3 = a search budget ran out.
 Search output doubles as a valid array file (metadata on `#` comment
 lines), so a printed witness feeds straight back into `verify`.
 
+A failed check reaches its `error <tag>` line, stderr message and exit
+code 1 through the one helper `_fail`.
+
 The environment variable OAKIT_CEILING overrides the default row ceiling
 of the search commands.
 """
@@ -94,6 +97,16 @@ def _emit(lines):
     print("\n".join([REPORT_HEADER] + list(lines)))
 
 
+def _fail(lines, tag, exc, details=()):
+    """Emit `lines`, then `error <tag>` and `details`; print `exc` to stderr.
+
+    Every `error` line of the CLI comes from here, always with exit code 1.
+    """
+    _emit([*lines, f"error {tag}", *details])
+    print(str(exc), file=sys.stderr)
+    return 1
+
+
 def _read_array(path):
     try:
         with open(path) as handle:
@@ -129,20 +142,16 @@ def cmd_verify(args):
     try:
         lam = strength_lambda(array, args.strength)
     except NonintegralIndex as exc:
-        lines.append("error non-integral-index")
-        lines.append(f"detail {array.N} rows not divisible by {array.n}^{args.strength}")
-        _emit(lines)
-        print(str(exc), file=sys.stderr)
-        return 1
+        detail = f"detail {array.N} rows not divisible by {array.n}^{args.strength}"
+        return _fail(lines, "non-integral-index", exc, [detail])
     except NotAnOA as exc:
-        lines.append("error not-an-oa")
-        lines.append(f"columns {','.join(map(str, exc.columns))}")
-        lines.append(f"tuple {','.join(map(str, exc.tup))}")
-        lines.append(f"count {exc.count}")
-        lines.append(f"expected {exc.expected}")
-        _emit(lines)
-        print(str(exc), file=sys.stderr)
-        return 1
+        locus = [
+            f"columns {','.join(map(str, exc.columns))}",
+            f"tuple {','.join(map(str, exc.tup))}",
+            f"count {exc.count}",
+            f"expected {exc.expected}",
+        ]
+        return _fail(lines, "not-an-oa", exc, locus)
     census = row_multiplicities(array)
     lines.append(f"lambda {lam}")
     lines.append(f"distinct-rows {len(census.counts)}")
@@ -263,25 +272,13 @@ def cmd_audit(args):
             lines.extend(exc.report.lines())
         if exc.check_id is not None:
             lines.append(f"failing-check {exc.check_id}")
-        lines.append("error audit-failed")
-        _emit(lines)
-        print(str(exc), file=sys.stderr)
-        return 1
+        return _fail(lines, "audit-failed", exc)
     except NonintegralIndex as exc:
-        lines.append("error non-integral-index")
-        _emit(lines)
-        print(str(exc), file=sys.stderr)
-        return 1
+        return _fail(lines, "non-integral-index", exc)
     except NotAnOA as exc:
-        lines.append("error not-an-oa")
-        _emit(lines)
-        print(str(exc), file=sys.stderr)
-        return 1
+        return _fail(lines, "not-an-oa", exc)
     except ValueError as exc:
-        lines.append("error invalid-claim")
-        _emit(lines)
-        print(str(exc), file=sys.stderr)
-        return 1
+        return _fail(lines, "invalid-claim", exc)
     lines.extend(extra)
     lines.extend(report.lines())
     _emit(lines)
@@ -401,10 +398,7 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"oakit: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
+    except (_UsageError, FormatError) as exc:
         print(f"oakit: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:

@@ -13,6 +13,8 @@ trailing zeros (the zero polynomial is the empty tuple).
 from functools import lru_cache
 import cmath
 
+__all__ = ["cyclotomic", "reduce_root_sum", "root_sum_is_zero", "root_sum_float"]
+
 
 def _trim(coeffs):
     coeffs = list(coeffs)

@@ -1,5 +1,26 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "OakitError",
+    "FormatError",
+    "NotAnOA",
+    "NonintegralIndex",
+    "NotADesign",
+    "HypothesisViolated",
+    "UnsupportedParameters",
+    "CeilingExceeded",
+    "BudgetExceeded",
+    "AuditFailure",
+    "IdentityViolated",
+    "EquationViolated",
+    "RankDeficient",
+    "LemmaViolated",
+    "NonpositiveDeterminant",
+    "NonOrthogonal",
+    "WeightMismatch",
+    "InnerProductMismatch",
+]
+
 
 class OakitError(Exception):
     """Base class for all package-specific errors."""

@@ -8,6 +8,8 @@ pivot, signed by the row swaps, or 0 as soon as a column has no pivot.
 Matrices are plain lists of lists of ints; inputs are never mutated.
 """
 
+__all__ = ["integer_det", "integer_rank"]
+
 
 def _bareiss(m):
     """Eliminate the list-of-lists matrix `m` in place, one pivot at a time.

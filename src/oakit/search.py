@@ -78,7 +78,7 @@ class SearchProblem:
     all-zeros.  `mode` is "exists" (stop at the first solution) or "count"
     (traverse everything and count canonical solutions).  `node_budget` and
     `wall_budget` (seconds) cap the run; the row count lambda*n**2 must not
-    exceed `ceiling`.
+    exceed `ceiling`, an int >= 1.
     """
 
     n: int
@@ -110,6 +110,8 @@ class SearchProblem:
         wall = self.wall_budget
         if wall is not None and not (isinstance(wall, (int, float)) and wall >= 0):
             raise ValueError("wall budget must be a number >= 0")
+        if type(self.ceiling) is not int or self.ceiling < 1:
+            raise ValueError("ceiling must be an int >= 1")
         if self.N > self.ceiling:
             raise CeilingExceeded(
                 f"{self.N} rows exceeds the configured ceiling of {self.ceiling}"

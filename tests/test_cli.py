@@ -1,11 +1,16 @@
+import contextlib
+import io
+import pathlib
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oakit import OrthogonalArray, format_oa, stack
-from oakit.cli import main
+from oakit import OrthogonalArray, format_oa, generate_linear_oa, stack
+from oakit.cli import AUDIT_METHODS, main
 
 
 @pytest.fixture
@@ -345,3 +350,107 @@ def test_console_script(parity_file):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("#REPORT v1\n")
+
+
+# ---------------------------------------------------------------------------
+# random command lines
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Valid, forged, malformed and missing array files, by placeholder name."""
+    root = tmp_path_factory.mktemp("argv")
+    parity = generate_linear_oa(2, 3)
+    oa65 = generate_linear_oa(5, 6)
+    forged = list(oa65.rows)
+    forged[1] = (0, 2) + forged[1][2:]
+    texts = {
+        "parity": format_oa(parity),
+        "stacked": format_oa(stack(parity, 2)),
+        "forged": format_oa(OrthogonalArray(5, 6, tuple(forged))),
+        "short": "2 3\n0 0 0\n1 1 1\n0 1 1\n",  # N not a multiple of n^2
+        "malformed": "2 3\n0 0\n1 x 1\n",
+    }
+    files = {name: root / f"{name}.txt" for name in texts}
+    for name, text in texts.items():
+        files[name].write_text(text)
+    files["oa353"] = pathlib.Path(__file__).parent / "data" / "oa353_m2.txt"
+    files["missing"] = root / "missing.txt"
+    return {name: str(path) for name, path in files.items()}
+
+
+@st.composite
+def _command_line(draw):
+    """An argv for main() and an OAKIT_CEILING value (None: unset)."""
+
+    def rarely():
+        return draw(st.integers(0, 9)) == 9
+
+    def value(low, top):
+        # mostly an integer in low..top, now and then a negative or non-integer one
+        if rarely():
+            return draw(st.sampled_from(["-1", "x", "1.5", ""]))
+        return str(draw(st.integers(low, top)))
+
+    def option(flag, low, top):
+        if draw(st.booleans()):
+            argv.extend([flag, value(low, top)])
+
+    command = draw(st.sampled_from(["verify", "bounds", "audit", "search"]))
+    argv = [command]
+    file = "{%s}" % draw(
+        st.sampled_from(["parity", "stacked", "forged", "short", "malformed", "oa353", "missing"])
+    )
+    if command == "verify":
+        argv.append(file)
+        option("--strength", 2, 4)
+    elif command == "bounds":
+        if draw(st.integers(0, 3)) < 3:
+            for flag, low, top in (("--t", 2, 3), ("--k", 2, 9), ("--n", 2, 5)):
+                if not rarely():
+                    argv.extend([flag, value(low, top)])
+            option("--lambda", 1, 4)
+            option("--m", 1, 4)
+        if draw(st.integers(0, 2)) == 2:
+            designs = ["7,3,1,7,2,1,1", "7,3,2,14,2,1,2", "7,3,1", "a,b,c,d,e,f,g", "7,3,1,7,2,1,-1"]
+            argv.extend(["--design", draw(st.sampled_from(designs))])
+    elif command == "audit":
+        argv.extend([file, "--method", draw(st.sampled_from(AUDIT_METHODS + ("sudoku",)))])
+        option("--m", 1, 3)
+    else:
+        # small problems only: n <= 3, k <= 8, lambda <= 3, at most 500 nodes
+        # a stage and at most two worker processes
+        for flag, low, top in (("--n", 2, 3), ("--k", 2, 8), ("--lambda", 1, 3)):
+            if not rarely():  # now and then a required flag is missing
+                argv.extend([flag, value(low, top)])
+        claim = draw(st.sampled_from(["--m", "--maximize", ""]))
+        if claim == "--m" or rarely():
+            argv.extend(["--m", value(0, 4)])
+        if claim == "--maximize" or rarely():
+            argv.append("--maximize")
+        argv.extend(["--budget", value(0, 500)])
+        workers = draw(st.sampled_from(["0", "-1"] if rarely() else ["2", "1"]))
+        argv.extend(["--workers", workers])
+    ceiling = None
+    if rarely():
+        ceiling = draw(st.sampled_from(["36", "27", "4", "0", "-3", "abc", "1.5", ""]))
+    return argv, ceiling
+
+
+@settings(max_examples=200)
+@given(command_line=_command_line())
+def test_main_ends_every_command_line_with_a_documented_exit_code(argv_files, command_line):
+    argv, ceiling = command_line
+    argv = [arg.format(**argv_files) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        if ceiling is None:
+            patch.delenv("OAKIT_CEILING", raising=False)
+        else:
+            patch.setenv("OAKIT_CEILING", ceiling)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code != 2:
+        assert out.getvalue().startswith("#REPORT v1\n")

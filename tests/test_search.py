@@ -217,6 +217,10 @@ def test_argument_validation():
     for bad in (dict(n=2.0), dict(k=3.0), dict(lam=1.5), dict(m=True), dict(n=True), dict(m=1.0)):
         with pytest.raises(ValueError):
             SearchProblem(**{"n": 2, "k": 3, "lam": 1, **bad})
+    # the ceiling must be an int >= 1 too; True is not taken as a ceiling of 1
+    for bad in (dict(ceiling="36"), dict(ceiling=None), dict(ceiling=True)):
+        with pytest.raises(ValueError):
+            SearchProblem(**{"n": 2, "k": 3, "lam": 1, **bad})
 
 
 # ---------------------------------------------------------------------------

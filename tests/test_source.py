@@ -1,4 +1,5 @@
 import ast
+import importlib
 import pathlib
 
 import oakit
@@ -17,3 +18,15 @@ def test_no_invariant_rests_on_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_exports_the_union_of_the_module_lists():
+    # a public name is declared once, in its module's __all__
+    modules = sorted({path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "cli"})
+    lists = {name: importlib.import_module(f"oakit.{name}").__all__ for name in modules}
+    exported = [name for names in lists.values() for name in names]
+    assert len(exported) == len(set(exported))  # the module lists are disjoint
+    assert sorted(oakit.__all__) == sorted(exported)
+    for module, names in lists.items():
+        for name in names:
+            assert getattr(oakit, name) is getattr(importlib.import_module(f"oakit.{module}"), name)
