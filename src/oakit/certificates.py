@@ -362,11 +362,16 @@ def rank_bound_certificate(incidence):
     The matrix must have full column rank nk, and must keep rank nk after
     deleting the last group row (that row lies in the span of the others),
     so the other N+k-1 rows span an nk-dimensional space: nk <= N+k-1.
+
+    The reduced rank is eliminated first.  Since
+    rank(M[:-1]) <= rank(M) <= nk (M has nk columns), a reduced rank of nk
+    gives the full rank nk exactly, and only a shortfall takes a second
+    elimination of the whole matrix.
     """
     n, k, N = incidence.n, incidence.k, incidence.N
     nk = n * k
-    full = integer_rank(incidence.matrix)
     reduced = integer_rank(incidence.matrix[:-1])
+    full = nk if reduced == nk else integer_rank(incidence.matrix)
     checks = (
         _eq_check("rank", full, nk),
         _eq_check("rank-without-last-group", reduced, nk),
@@ -392,6 +397,11 @@ def gram_certificate(array):
     entrywise, and certifies det > 0 by fraction-free integer elimination.
     The nk+1 vectors are then independent in an (N+k)-dimensional space,
     so nk+1 <= N+k.
+
+    Row 0 is subtracted from every other row before the elimination.  That
+    step is unimodular, so the determinant is unchanged; on a valid Gram
+    matrix it leaves about 2 nonzeros per row, which the sparse pivot rule
+    of `integer_det` eliminates with small integers.
     """
     lam = _index_of(array)
     n, k, N = array.n, array.k, array.N
@@ -419,7 +429,8 @@ def gram_certificate(array):
     mismatches = [
         (p, q) for p in range(size) for q in range(size) if gram[p][q] != expected[p][q]
     ]
-    det = integer_det(gram)
+    top = gram[0]
+    det = integer_det([top] + [[a - b for a, b in zip(row, top)] for row in gram[1:]])
     checks = (
         _eq_check("lemma-entrywise", len(mismatches), 0),
         Check("det-positive", str(det), "0", det > 0),

@@ -49,7 +49,6 @@ from .certificates import (
 )
 from .errors import (
     AuditFailure,
-    BudgetExceeded,
     CeilingExceeded,
     FormatError,
     NonintegralIndex,
@@ -401,9 +400,6 @@ def main(argv=None):
     except (_UsageError, FormatError) as exc:
         print(f"oakit: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceeded as exc:
-        print(f"oakit: {exc}", file=sys.stderr)
-        return 3
     except OakitError as exc:
         print(f"oakit: {exc}", file=sys.stderr)
         return 1

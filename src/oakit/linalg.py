@@ -5,6 +5,14 @@ Bareiss elimination (Bareiss 1968) keeps every intermediate value an integer
 out exact with no rational blow-up.  One elimination routine, `_bareiss`,
 serves both: the rank is its pivot count, and the determinant is the last
 pivot, signed by the row swaps, or 0 as soon as a column has no pivot.
+
+Pivot rule: among the rows that can pivot a column, the one with the fewest
+nonzeros wins (ties go to the topmost), a Markowitz-style choice (Markowitz
+1957).  Any choice of pivot row keeps Bareiss exact, since it is Bareiss on
+a row permutation of the input; the sparse one keeps the entries small on
+nearly diagonal matrices such as the Gram audit's.  A row whose entry in
+the pivot column is 0 is only scaled, by pivot / previous pivot.
+
 Matrices are plain lists of lists of ints; inputs are never mutated.
 """
 
@@ -23,17 +31,24 @@ def _bareiss(m):
     rank = 0
     prev = 1
     for col in range(ncols):
-        pivot_row = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
-        if pivot_row is None:
+        candidates = [r for r in range(rank, nrows) if m[r][col] != 0]
+        if not candidates:
             continue
+        pivot_row = max(candidates, key=lambda r: m[r].count(0))
         if pivot_row != rank:
             m[rank], m[pivot_row] = m[pivot_row], m[rank]
         yield rank, col, pivot_row != rank
-        p = m[rank][col]
+        top = m[rank]
+        p = top[col]
+        right = top[col + 1 :]
         for r in range(rank + 1, nrows):
-            for c in range(col + 1, ncols):
-                m[r][c] = (m[r][c] * p - m[r][col] * m[rank][c]) // prev
-            m[r][col] = 0
+            row = m[r]
+            a = row[col]
+            if a:
+                row[col + 1 :] = [(x * p - a * y) // prev for x, y in zip(row[col + 1 :], right)]
+                row[col] = 0
+            elif p != prev:
+                row[col + 1 :] = [x * p // prev for x in row[col + 1 :]]
         prev = p
         rank += 1
         if rank == nrows:

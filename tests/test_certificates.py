@@ -23,6 +23,7 @@ from oakit import (
     check_span_equations,
     cwc_certificate,
     extract_cwc,
+    generate_linear_oa,
     gram_certificate,
     incidence_matrix,
     integer_det,
@@ -202,6 +203,52 @@ def test_rank_certificate_detects_deficiency(parity):
         rank_bound_certificate(bad)
 
 
+def _count_rank_calls(monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return integer_rank(matrix)
+
+    monkeypatch.setattr(certificates, "integer_rank", counted)
+    return calls
+
+
+def _rank_checks(report):
+    return {c.check_id: c.lhs for c in report.checks}
+
+
+def test_rank_certificate_eliminates_once_when_the_reduced_rank_is_full(monkeypatch, oa43, stacked_parity):
+    for a in (oa43, stacked_parity):
+        inc = incidence_matrix(to_transversal_design(a))
+        calls = _count_rank_calls(monkeypatch)
+        report = rank_bound_certificate(inc)
+        assert calls == [len(inc.matrix) - 1]
+        assert _rank_checks(report) == {
+            "rank": str(integer_rank(inc.matrix)),
+            "rank-without-last-group": str(integer_rank(inc.matrix[:-1])),
+        }
+
+
+def test_rank_certificate_eliminates_twice_when_the_reduced_rank_falls_short(monkeypatch, parity):
+    inc = incidence_matrix(to_transversal_design(parity))
+    nk = inc.n * inc.k
+    collapsed = (inc.matrix[0],) * len(inc.matrix)  # rank 1 with and without the last row
+    # the unit vectors of the points: the last row alone lifts the rank to nk
+    units = tuple(tuple(int(p == q) for q in range(nk)) for p in range(nk))
+    for matrix in (collapsed, units):
+        calls = _count_rank_calls(monkeypatch)
+        with pytest.raises(RankDeficient) as exc:
+            rank_bound_certificate(IncidenceMatrix(inc.n, inc.k, inc.lam, inc.row_labels, matrix))
+        assert calls == [len(matrix) - 1, len(matrix)]
+        assert _rank_checks(exc.value.report) == {
+            "rank": str(integer_rank(matrix)),
+            "rank-without-last-group": str(integer_rank(matrix[:-1])),
+        }
+    assert _rank_checks(exc.value.report) == {"rank": str(nk), "rank-without-last-group": str(nk - 1)}
+    assert exc.value.check_id == "rank-without-last-group"
+
+
 def test_span_equations_and_rank_agree(oa242):
     td = to_transversal_design(oa242)
     eq = check_span_equations(td)
@@ -242,6 +289,25 @@ def test_gram_determinant_matches_predicted_matrix(parity, oa43, oa242):
         report = gram_certificate(a)
         det_check = next(c for c in report.checks if c.check_id == "det-positive")
         assert int(det_check.lhs) == integer_det(predicted)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [generate_linear_oa(13, 14), stack(generate_linear_oa(11, 12), 2)],
+    ids=["linear-13-14", "stacked-11-12"],
+)
+@pytest.mark.parametrize("permuted", [False, True], ids=["plain", "permuted"])
+def test_gram_determinant_at_full_size(array, permuted):
+    # det(lambda*J + diag(lambda*n, ..., lambda*n, (k-1)*lambda)) = (lambda*n)^(nk) * lambda * k^2
+    if permuted:
+        cols = [(5 * j + 3) % array.k for j in range(array.k)]
+        rows = [tuple(row[c] for c in cols) for row in array.rows[::-1]]
+        array = OrthogonalArray(array.n, array.k, tuple(rows))
+    n, k, lam = array.n, array.k, array.N // array.n**2
+    report = gram_certificate(array)
+    assert report.passed
+    det_check = next(c for c in report.checks if c.check_id == "det-positive")
+    assert det_check.lhs == str((lam * n) ** (n * k) * lam * k * k)
 
 
 def test_gram_certificate_on_higher_index(oa242):

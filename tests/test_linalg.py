@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oakit import integer_det, integer_rank
 
@@ -100,3 +102,112 @@ def test_large_entries_stay_exact():
     # Hilbert-like integer matrix with a huge determinant; exactness matters.
     m = [[(i + j + 1) ** 3 for j in range(5)] for i in range(5)]
     assert integer_det(m) == gauss_det(m)
+
+
+# ---------------------------------------------------------------------------
+# Property tests: the sparse-pivot elimination against the Fraction references
+# ---------------------------------------------------------------------------
+
+ENTRY = st.integers(-9, 9)
+
+
+@st.composite
+def dense_matrix(draw, square=False):
+    rows = draw(st.integers(1, 8))
+    cols = rows if square else draw(st.integers(1, 8))
+    return draw(st.lists(st.lists(ENTRY, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+
+@st.composite
+def sparse_matrix(draw, square=False):
+    # Mostly zeros, so the pivot rule sees rows of many different weights.
+    rows = draw(st.integers(1, 8))
+    cols = rows if square else draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), ENTRY)
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+
+@st.composite
+def dependent_matrix(draw, square=False):
+    """A matrix with a row that copies or combines earlier rows."""
+    m = draw(dense_matrix(square=square) if draw(st.booleans()) else sparse_matrix(square=square))
+    if len(m) < 2:
+        return m
+    i = draw(st.integers(1, len(m) - 1))
+    a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+    x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    m[i] = [x * u + y * v for u, v in zip(m[a], m[b])]
+    return draw(st.permutations(m))
+
+
+@st.composite
+def low_rank_matrix(draw):
+    """A rows x cols product of rows x r and r x cols factors, so rank <= r."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    r = draw(st.integers(0, min(rows, cols) - 1))
+    left = draw(st.lists(st.lists(ENTRY, min_size=r, max_size=r), min_size=rows, max_size=rows))
+    right = draw(st.lists(st.lists(ENTRY, min_size=cols, max_size=cols), min_size=r, max_size=r))
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+@st.composite
+def shifted_gram(draw):
+    """lambda*J + lambda*n*I, bordered as in the Gram audit, minus row 0 elsewhere."""
+    n, k, lam = draw(st.integers(2, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    nk = n * k
+    gram = [[lam + (lam * n if p == q else 0) for q in range(nk)] + [lam] for p in range(nk)]
+    gram.append([lam] * nk + [k * lam])
+    top = gram[0]
+    return [top] + [[a - b for a, b in zip(row, top)] for row in gram[1:]]
+
+
+SQUARE = st.one_of(
+    dense_matrix(square=True), sparse_matrix(square=True), dependent_matrix(square=True), shifted_gram()
+)
+ANY = st.one_of(dense_matrix(), sparse_matrix(), dependent_matrix(), low_rank_matrix(), shifted_gram())
+
+
+@settings(max_examples=200)
+@given(SQUARE)
+def test_determinant_property(m):
+    assert integer_det(m) == gauss_det(m)
+
+
+@settings(max_examples=200)
+@given(ANY)
+def test_rank_property(m):
+    assert integer_rank(m) == gauss_rank(m)
+
+
+def _permutation_sign(perm):
+    sign = 1
+    seen = set()
+    for start in range(len(perm)):
+        length = 0
+        i = start
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+@settings(max_examples=150)
+@given(SQUARE.flatmap(lambda m: st.tuples(st.just(m), st.permutations(range(len(m))))))
+def test_row_permutation_multiplies_the_determinant_by_its_sign(case):
+    m, perm = case
+    permuted = [m[i] for i in perm]
+    assert integer_det(permuted) == _permutation_sign(perm) * integer_det(m)
+
+
+def test_shifted_gram_matrix_keeps_the_predicted_determinant():
+    # (lambda*n)^(nk) * lambda * k^2 with and without the row-0 subtraction
+    n, k, lam = 4, 5, 2
+    nk = n * k
+    gram = [[lam + (lam * n if p == q else 0) for q in range(nk)] + [lam] for p in range(nk)]
+    gram.append([lam] * nk + [k * lam])
+    shifted = [gram[0]] + [[a - b for a, b in zip(row, gram[0])] for row in gram[1:]]
+    expected = (lam * n) ** nk * lam * k * k
+    assert integer_det(gram) == integer_det(shifted) == gauss_det(shifted) == expected
