@@ -11,7 +11,7 @@ of every column pair, then the per-column symbol capacities (colcap).
 Every ordered symbol pair in every column pair must be used exactly lambda
 times, a capacity may never go negative, and a Hall-type availability
 argument discards rows whose remaining demand cannot be met.  That argument
-is one flat table of rules, built once per kernel run, each demanding
+is one flat table of rules, built once per search run, each demanding
 cap[d] <= sum(min(cap[x], cap[y])) over fixed index pairs: each remaining
 demand in a column pair (a, b) with b >= 2 must fit through every column in
 {0, 1} other than a.  Because columns 0 and 1 are forced, the rows still to
@@ -22,7 +22,7 @@ before a row passed every rule, so after placing the row only the rules it
 can break are rechecked: in family (via, a, b), those whose demand (sa, sb)
 matches the row in exactly one of columns a and b, 2(n-1) of the n*n rules
 per family.  The set depends on the row alone and is memoized per row
-within one kernel run.
+for the whole run, in each worker process apart.
 
 `maximize_stages` runs the exists-search at each forced multiplicity from
 the counting bound's floor down; `oracle_max_multiplicity` and the CLI's
@@ -34,11 +34,14 @@ order of a fully traversed tree does not affect which nodes are visited
 reaches witnesses for the hardest in-scope instances far sooner.
 
 Node budgets are exact: a search stops the moment the node counter would
-pass the budget, and the multi-worker mode replays per-subtree node counts
-in candidate order so that status, witness, node count and solution count
-are identical to the single-worker run for any worker count.  A wall budget
-becomes one absolute deadline, checked before the first node and every 1024
-nodes after; in multi-worker mode the probe and every subtree share it.
+pass the budget.  The multi-worker mode splits the tree into chunks of 1024
+nodes, each of which hands back the rest of its subtree as row prefixes in
+DFS order, and runs them leftmost first on worker processes; it replays the
+chunks' node counts in DFS order, so that status, witness, node count and
+solution count are identical to the single-worker run for any worker
+count.  A wall budget becomes one absolute deadline, checked before the
+first node and every 1024 nodes after; in multi-worker mode every chunk
+shares it.
 """
 
 import os
@@ -142,14 +145,44 @@ class _Stop(Exception):
     """Internal signal: a budget ran out mid-traversal."""
 
 
-# Set in pool workers only, by the pool initializer: shared memory reaches a
-# worker when it starts, not as a task argument.
+class _Split(Exception):
+    """Internal signal: a chunk reached its node interval mid-traversal."""
+
+
+# Nodes a chunked kernel run explores before it hands back the rest of its
+# subtree: the cadence of the deadline check.
+_CHUNK_NODES = 1024
+
+# Set in search workers only, from the worker's start arguments: shared
+# memory reaches a process when it starts, not with a task.
 _stop_flag = None
 
 
-def _set_stop_flag(flag):
+def _worker(conn, flag, tables, chunk):
+    """A search worker: runs the chunk below each prefix received until None.
+
+    `tables` and its recheck memo serve every chunk of the run, and the
+    chunk interval comes from the parent like the tables.
+    """
     global _stop_flag
     _stop_flag = flag
+    for args in iter(conn.recv, None):
+        conn.send(_kernel(*args, tables, chunk))
+
+
+def _tables(n, k):
+    """pidx, the Hall rule table and an empty recheck memo for n and k.
+
+    pidx[a][b] numbers the column pairs a < b; nothing here depends on
+    lambda, the prefix or the budgets, so one search run builds these once.
+    """
+    pidx = [[0] * k for _ in range(k)]
+    npairs = 0
+    for a in range(k):
+        for b in range(a + 1, k):
+            pidx[a][b] = npairs
+            npairs += 1
+    return pidx, _hall_rules(n, k, pidx), {}
 
 
 def _hall_rules(n, k, pidx):
@@ -209,15 +242,23 @@ def _hall(cap, rules):
     return True
 
 
-def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=False):
+def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=None):
     """Canonical DFS below a fixed row prefix.
 
-    Returns a dict with keys status/nodes/witness/solutions/children.  With
-    collect_children=True the first free row is enumerated (in candidate
-    order, applying all pruning) without recursing, for the parallel driver.
+    Returns a dict with keys status/nodes/witness/solutions/rest.  `tables`
+    is `_tables(n, k)`, built here when not given.
     `force[r][c]` is the symbol row r must take in column c, or -1 where it
     branches; the prefix rows are forced whole (so they must follow the
     forced columns 0 and 1) and are not nodes.
+
+    With `chunk` set, the run stops when its node counter reaches `chunk`
+    and `rest` hands back the rest of its subtree as prefixes in DFS order:
+    first the node it did not enter, then the untried rows of each frame
+    from the deepest to the shallowest, each passed by the same capacity
+    and Hall checks as before a recursion.  Running the chunk and then each
+    prefix of `rest` in order visits exactly the nodes of one unchunked run.
+    The budget and the interval share one `stop_at`; a budget that falls
+    at the interval stops the run.
 
     The prefix is checked against every Hall rule; each complete row after
     it is checked only against the rules it can break.  Why that suffices:
@@ -230,42 +271,33 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
     s = row[via] can be touched: its x is lowered iff sa == row[a], its y
     iff sb == row[b], and when both are, d is lowered too.  The rules to
     recheck are thus those with (sa == row[a]) != (sb == row[b]), kept in
-    table order.  `recheck` memoizes them per row, so it holds at most one
-    entry per distinct complete row tried in this call.
+    table order.  The memo `recheck` maps each complete row tried to them;
+    it lives as long as `tables`.
     """
-    out = {
-        "status": EXHAUSTED,
-        "nodes": 0,
-        "witness": None,
-        "solutions": 0,
-        "children": [] if collect_children else None,
-    }
+    out = {"status": EXHAUSTED, "nodes": 0, "witness": None, "solutions": 0, "rest": []}
     stop = _stop_flag
     if stop is not None and stop.value:
         return dict(out, status=BUDGET_EXCEEDED)
     N = lam * n * n
     lns = lam * n
     n2 = n * n
-    pidx = [[0] * k for _ in range(k)]
-    npairs = 0
-    for a in range(k):
-        for b in range(a + 1, k):
-            pidx[a][b] = npairs
-            npairs += 1
+    pidx, rules, recheck = tables or _tables(n, k)
+    stop_at = node_budget
+    if chunk is not None and (stop_at is None or chunk < stop_at):
+        stop_at = chunk
     # One capacity list: the pair blocks, then colcap[c][s] at cc + c*n + s.
     # Sorted rows force columns 0 and 1 as functions of the row index, so
     # before row r, block (0, 1) counts the rows >= r with forced pair
     # (s0, s1): the Hall rules read only live capacities, no per-row tables.
-    cc = npairs * n2
+    cc = k * (k - 1) // 2 * n2
     cap = [lam] * cc + [lns] * (k * n)
-    rules = _hall_rules(n, k, pidx)
     start_r = len(prefix)
     force = [list(row) for row in prefix] + [
         [r // lns, (r % lns) // lam] + [-1] * (k - 2) for r in range(start_r, N)
     ]
 
     grid = [[0] * k for _ in range(N)]
-    recheck = {}
+    rest = out["rest"]
 
     def touched(row):
         """The rules the complete row `row` can break, in table order: those
@@ -281,8 +313,11 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
         if r >= start_r:
             if r == start_r and r < N and not _hall(cap, rules):
                 return
-            if node_budget is not None and out["nodes"] == node_budget:
-                raise _Stop
+            if out["nodes"] == stop_at:
+                if stop_at == node_budget:
+                    raise _Stop
+                rest.append(tuple(map(tuple, grid[:r])))
+                raise _Split
             if stop is not None and stop.value:
                 raise _Stop
             if deadline is not None and not out["nodes"] & 1023:
@@ -303,6 +338,7 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
         c = 0
         tight = [True] + [False] * k
         row[0] = -1
+        split = False
         while c >= 0:
             if c == k:
                 if r < start_r:
@@ -313,10 +349,15 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
                     if sub is None:
                         sub = recheck[key] = touched(key)
                     if _hall(cap, sub):
-                        if collect_children and r == start_r:
-                            out["children"].append(key)
+                        if split:
+                            # rest[0] is the node not entered; its first r
+                            # rows are this frame's prefix
+                            rest.append(rest[0][:r] + (key,))
                         else:
-                            dfs(r + 1)
+                            try:
+                                dfs(r + 1)
+                            except _Split:
+                                split = True
                 if out["solutions"] and mode == "exists":
                     return
                 c -= 1
@@ -358,18 +399,27 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, collect_children=Fal
                     s = row[c]
                     for o in offs[c]:
                         cap[o + s] += 1
+        if split:
+            raise _Split
 
     try:
         dfs(0)
     except _Stop:
-        return dict(out, status=BUDGET_EXCEEDED, witness=None, solutions=0)
+        return dict(out, status=BUDGET_EXCEEDED, witness=None, solutions=0, rest=[])
+    except _Split:
+        pass
     out["status"] = FOUND if out["witness"] is not None else EXHAUSTED
     return out
 
 
 def _pool_size(workers, subtrees):
-    """Processes worth starting: no more than the subtrees or the CPUs."""
+    """Processes worth starting: no more than the subtrees on hand or the CPUs."""
     return min(workers, subtrees, os.cpu_count() or 1)
+
+
+def _ends_search(res, mode):
+    """True when no node after the kernel result `res` can change the answer."""
+    return res["status"] == BUDGET_EXCEEDED or (mode == "exists" and res["witness"] is not None)
 
 
 def _finish(problem, raw):
@@ -386,56 +436,93 @@ def search_oa(problem, workers=1):
     """Run the canonical search; results are identical for any worker count.
 
     One kernel run is the whole search on one worker.  With workers > 1 the
-    same run stops at the first free row and hands back its candidates;
-    each subtree runs in a pool process, and the results are merged by
-    replaying them in candidate order with the exact single-worker budget
+    search runs in chunks of `_CHUNK_NODES` nodes.  The first chunk runs in
+    this process, so a search that ends inside it starts no process.
+    Otherwise its hand-back becomes an ordered replay list, and worker
+    processes start, each with its own pipe.  Whenever a worker is free it
+    gets the leftmost prefix not yet sent, one task in flight per worker,
+    and each chunk's hand-back is spliced in right behind it; no task starts
+    to the right of a result that ends the search.  Results are replayed
+    from the head of the list with the exact single-worker budget
     accounting.  A found witness therefore is the one the sequential search
     would report, and exhaustion still means the full tree was traversed.
 
     A run stopped by a budget reports no witness and solution_count 0.  A
-    run stopped by its wall budget reports the nodes replayed in candidate
-    order, never the node budget unless that budget was reached.
+    run stopped by its wall budget reports the nodes replayed in DFS order,
+    never the node budget unless that budget was reached.
     """
     p = problem
     prefix = ((0,) * p.k,) * p.m
     deadline = None if p.wall_budget is None else time.monotonic() + p.wall_budget
-    raw = _kernel(
-        p.n, p.k, p.lam, prefix, p.mode, p.node_budget, deadline, collect_children=workers > 1
-    )
-    children = raw["children"]
-    if raw["status"] == BUDGET_EXCEEDED or not children:
+    tables = _tables(p.n, p.k)
+    chunk = _CHUNK_NODES if workers > 1 else None
+    raw = _kernel(p.n, p.k, p.lam, prefix, p.mode, p.node_budget, deadline, tables, chunk)
+    if not raw["rest"]:
         return _finish(p, raw)
 
+    # imported here, as ctx.Pipe() does: a sequential search never loads it
+    from multiprocessing.connection import wait
+
     limit = float("inf") if p.node_budget is None else p.node_budget
-    task_budget = None if p.node_budget is None else p.node_budget - 1
+    # The rest of the search in DFS order: [prefix, sent, result or None].
+    # Prefixes are distinct nodes, so `tasks.index` finds the entry itself.
+    tasks = [[q, False, None] for q in raw.pop("rest")]
     ctx = get_context()
     stop = ctx.RawValue("b", 0)
-    pool = ctx.Pool(_pool_size(workers, len(children)), _set_stop_flag, (stop,))
+    conns = []
+    procs = []
+    running = {}  # connection -> the task its worker runs
     try:
-        pending = [
-            pool.apply_async(
-                _kernel, (p.n, p.k, p.lam, prefix + (child,), p.mode, task_budget, deadline)
-            )
-            for child in children
-        ]
-        for handle in pending:
-            res = handle.get()
-            raw["nodes"] += res["nodes"]
-            if res["status"] == BUDGET_EXCEEDED or raw["nodes"] > limit:
-                return SearchResult(BUDGET_EXCEEDED, None, min(raw["nodes"], limit), 0, 0)
-            raw["solutions"] += res["solutions"]
-            raw["witness"] = raw["witness"] or res["witness"]
-            if raw["witness"] and p.mode == "exists":
-                break
+        for _ in range(_pool_size(workers, len(tasks))):
+            conn, child = ctx.Pipe()
+            proc = ctx.Process(target=_worker, args=(child, stop, tables, chunk), daemon=True)
+            proc.start()
+            child.close()
+            conns.append(conn)
+            procs.append(proc)
+        while tasks:
+            res = tasks[0][2]
+            if res is not None:
+                del tasks[0]
+                raw["nodes"] += res["nodes"]
+                if res["status"] == BUDGET_EXCEEDED or raw["nodes"] > limit:
+                    return SearchResult(BUDGET_EXCEEDED, None, min(raw["nodes"], limit), 0, 0)
+                raw["solutions"] += res["solutions"]
+                raw["witness"] = raw["witness"] or res["witness"]
+                if raw["witness"] and p.mode == "exists":
+                    break
+                continue
+            idle = [conn for conn in conns if conn not in running]
+            for task in tasks:
+                if not idle or (task[2] is not None and _ends_search(task[2], p.mode)):
+                    break
+                if not task[1]:
+                    task[1] = True
+                    budget = None if p.node_budget is None else p.node_budget - raw["nodes"]
+                    conn = idle.pop()
+                    conn.send((p.n, p.k, p.lam, task[0], p.mode, budget, deadline))
+                    running[conn] = task
+            for conn in wait(list(running)):
+                task = running.pop(conn)
+                task[2] = res = conn.recv()
+                at = tasks.index(task) + 1
+                tasks[at:at] = [[q, False, None] for q in res.pop("rest")]
         raw["status"] = FOUND if raw["witness"] is not None else EXHAUSTED
         return _finish(p, raw)
     finally:
-        # Running subtrees stop at their next node and the workers exit on
-        # their own: a worker killed while it holds the result queue's lock
-        # would leave the pool's shutdown waiting forever.
+        # A running chunk stops at its next node; its worker then reads
+        # None and exits.  Its result is read first, so no worker waits on
+        # a full pipe.
         stop.value = 1
-        pool.close()
-        pool.join()
+        for conn in conns:
+            try:
+                if conn in running:
+                    conn.recv()
+                conn.send(None)
+            except (EOFError, OSError):
+                pass  # that worker has exited already
+        for proc in procs:
+            proc.join()
 
 
 def maximize_stages(

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -278,6 +279,78 @@ def test_two_workers_agree_with_one(case, data, mode, budget):
     sequential = search_oa(problem)
     parallel = search_oa(problem, workers=2)
     assert parallel == sequential
+
+
+@pytest.mark.parametrize("interval", [1, 3, 17])
+@settings(max_examples=40)
+@given(
+    case=st.sampled_from(SMALL),
+    data=st.data(),
+    workers=st.sampled_from([2, 3]),
+    mode=st.sampled_from(["exists", "count"]),
+    budget=st.one_of(st.none(), st.sampled_from([0, 1]), st.integers(2, 300)),
+)
+def test_chunked_runs_agree_with_one_worker(interval, case, data, workers, mode, budget):
+    # Small chunks split these small trees many times over, so hand-backs,
+    # splicing and the replay of budgets all take part.
+    n, k, lam = case
+    m = data.draw(st.integers(0, lam), label="m")
+    problem = SearchProblem(n, k, lam, m=m, mode=mode, node_budget=budget)
+    sequential = search_oa(problem)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search_module, "_CHUNK_NODES", interval)
+        parallel = search_oa(problem, workers=workers)
+    assert parallel == sequential
+
+
+@pytest.mark.parametrize("m,nodes", [(2, 11614), (3, 15149)])
+def test_chunked_pinned_case_matches_the_sequential_run(monkeypatch, m, nodes):
+    monkeypatch.setattr(search_module, "_CHUNK_NODES", 64)
+    parallel = search_oa(SearchProblem(3, 5, 3, m=m), workers=2)
+    assert parallel.nodes_explored == nodes
+    assert parallel == search_oa(SearchProblem(3, 5, 3, m=m))
+
+
+def test_kernel_hands_back_the_rest_of_its_subtree_in_dfs_order():
+    # the chunk and then each handed-back prefix in order visit the nodes of
+    # one unchunked run: the same count and the same first witness
+    tables = search_module._tables(2, 4)
+    whole = search_module._kernel(2, 4, 3, (), "count", None, None, tables)
+    pending = [()]
+    nodes = solutions = 0
+    witnesses = []
+    while pending:
+        raw = search_module._kernel(2, 4, 3, pending.pop(0), "count", None, None, tables, 5)
+        assert raw["nodes"] <= 5
+        nodes += raw["nodes"]
+        solutions += raw["solutions"]
+        witnesses += [raw["witness"]] if raw["witness"] else []
+        pending[:0] = raw["rest"]
+    assert (nodes, solutions) == (whole["nodes"], whole["solutions"]) == (343, 16)
+    assert witnesses[0] == whole["witness"]
+
+
+def refuse_to_start(*args, **kwargs):
+    raise AssertionError("a worker process was started")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        dict(n=2, k=4, lam=3, m=2),  # found at node 23
+        dict(n=2, k=4, lam=3, m=3),  # exhausted at the root
+        dict(n=3, k=5, lam=3, m=3, node_budget=1024),  # the budget ends the first chunk
+        dict(n=2, k=4, lam=3, mode="count"),  # 343 nodes
+    ],
+)
+def test_a_search_that_ends_in_the_first_chunk_starts_no_process(monkeypatch, spec):
+    context = multiprocessing.get_context()
+    monkeypatch.setattr(context, "Process", refuse_to_start)
+    monkeypatch.setattr(context, "Pool", refuse_to_start)
+    assert search_oa(SearchProblem(**spec), workers=2) == search_oa(SearchProblem(**spec))
+    # a search that outgrows its first chunk does reach the patched context
+    with pytest.raises(AssertionError, match="worker process"):
+        search_oa(SearchProblem(3, 5, 3, m=3, node_budget=1025), workers=2)
 
 
 def test_parallel_wall_budget_never_reports_more_than_the_tree():
