@@ -4,13 +4,15 @@ The search enumerates arrays whose rows are in nondecreasing lexicographic
 order (one representative per row multiset), with an optional forced
 multiplicity m that pins the first m rows to all-zeros.  Sorting makes the
 first two columns a function of the row index alone, so only cells from
-column 2 on branch.  The pinned rows are forced whole and placed by the
-same DFS cell loop as every other row, but they are not search nodes.  One
-list of remaining capacities drives the pruning: the symbol-pair capacities
-of every column pair, then the per-column symbol capacities (colcap).
-Every ordered symbol pair in every column pair must be used exactly lambda
-times, a capacity may never go negative, and a Hall-type availability
-argument discards rows whose remaining demand cannot be met.  That argument
+column 2 on branch: a free row checks and places its three forced cells
+once, then runs the DFS cell loop from column 2.  The pinned rows are
+forced whole and placed by the same cell loop from column 0, but they are
+not search nodes.  One list of remaining capacities drives the pruning:
+the symbol-pair capacities of every column pair, then the per-column symbol
+capacities (colcap).  Every ordered symbol pair in every column pair must
+be used exactly lambda times, a capacity may never go negative, and a
+Hall-type availability argument discards rows whose remaining demand
+cannot be met.  That argument
 is one flat table of rules, built once per search run, each demanding
 cap[d] <= sum(min(cap[x], cap[y])) over fixed index pairs: each remaining
 demand in a column pair (a, b) with b >= 2 must fit through every column in
@@ -21,8 +23,13 @@ column capacity: on a complete row such a rule always holds.  The state
 before a row passed every rule, so after placing the row only the rules it
 can break are rechecked: in family (via, a, b), those whose demand (sa, sb)
 matches the row in exactly one of columns a and b, 2(n-1) of the n*n rules
-per family.  The set depends on the row alone and is memoized per row
-for the whole run, in each worker process apart.
+per family.
+
+Everything a cell or a row needs that depends on the row prefix alone sits
+in one trie of row prefixes, grown lazily for the whole run (in each worker
+process apart): the node of a partial row holds the capacity indices that
+each symbol takes in the next column, and the leaf of a complete row holds
+the row and its recheck rule set.
 
 `maximize_stages` runs the exists-search at each forced multiplicity from
 the counting bound's floor down; `oracle_max_multiplicity` and the CLI's
@@ -161,7 +168,7 @@ _stop_flag = None
 def _worker(conn, flag, tables, chunk):
     """A search worker: runs the chunk below each prefix received until None.
 
-    `tables` and its recheck memo serve every chunk of the run, and the
+    `tables` and its row-prefix trie serve every chunk of the run, and the
     chunk interval comes from the parent like the tables.
     """
     global _stop_flag
@@ -171,10 +178,12 @@ def _worker(conn, flag, tables, chunk):
 
 
 def _tables(n, k):
-    """pidx, the Hall rule table and an empty recheck memo for n and k.
+    """pidx, the Hall rule table and the root of an empty row-prefix trie.
 
-    pidx[a][b] numbers the column pairs a < b; nothing here depends on
-    lambda, the prefix or the budgets, so one search run builds these once.
+    pidx[a][b] numbers the column pairs a < b.  Nothing here depends on
+    lambda, the prefix or the budgets, so one search run builds these once;
+    `_kernel` grows the trie as it places rows, and it lives as long as the
+    tables: one run, or one worker's life.
     """
     pidx = [[0] * k for _ in range(k)]
     npairs = 0
@@ -182,7 +191,36 @@ def _tables(n, k):
         for b in range(a + 1, k):
             pidx[a][b] = npairs
             npairs += 1
-    return pidx, _hall_rules(n, k, pidx), {}
+    rules = _hall_rules(n, k, pidx)
+    return pidx, rules, _node(n, k, pidx, rules, (), 0)
+
+
+def _node(n, k, pidx, rules, row, c):
+    """The trie node of the partial row row[:c].
+
+    Below c == k it is a list: for each symbol s, the indices in the
+    capacity list that s takes in column c (colcap first, then the (a, c)
+    blocks at row[a]), then n child slots, filled on first use.  At c == k
+    it is the leaf (key, recheck set) of the complete row.
+    """
+    if c == k:
+        key = tuple(row)
+        return key, _recheck_rules(n, k, rules, key)
+    n2 = n * n
+    base = [k * (k - 1) // 2 * n2 + c * n] + [pidx[a][c] * n2 + row[a] * n for a in range(c)]
+    return [tuple([o + s for o in base]) for s in range(n)] + [None] * n
+
+
+def _families(k):
+    """The rule families (via, a, b) in the order of `_hall_rules`' table.
+
+    The (a, b >= 2) families through column 1 come first because nearly
+    every rejection happens there; the verdict does not depend on the order.
+    """
+    inner = [(a, b) for a in range(2, k) for b in range(a + 1, k)]
+    return [(via, a, b) for via in (1, 0) for a, b in inner] + [
+        (via, a, b) for a, via in ((0, 1), (1, 0)) for b in range(2, k)
+    ]
 
 
 def _hall_rules(n, k, pidx):
@@ -191,9 +229,9 @@ def _hall_rules(n, k, pidx):
     A rule (d, ((x, y), ...)) holds when cap[d] <= sum(min(cap[x], cap[y])).
     Each remaining demand cap[(a,b)][sa][sb] with b >= 2 must fit through
     every other column v in {0, 1}: a row with (sa, sb) in (a, b) takes some
-    symbol s in column v, which needs room in both (v, a) and (v, b).  The
-    (a, b >= 2) rules through column 1 come first because nearly every
-    rejection happens there; the verdict does not depend on the order.
+    symbol s in column v, which needs room in both (v, a) and (v, b).
+    Family f = (via, a, b) of `_families` holds rules f*n*n .. f*n*n + n*n - 1,
+    one per demand (sa, sb) in that order.
 
     No rule bounds cap[(0,b)][s0][sb] by colcap[0][s0]: on the complete rows
     `_hall` is called on, colcap[0][s0] equals the sum of cap[(0,b)][s0][.]
@@ -205,25 +243,46 @@ def _hall_rules(n, k, pidx):
             a, b, sa, sb = b, a, sb, sa
         return pidx[a][b] * n * n + sa * n + sb
 
-    def through(via, a, b):
-        return [
-            (
-                cell(a, b, sa, sb),
-                tuple((cell(via, a, s, sa), cell(via, b, s, sb)) for s in range(n)),
-            )
-            for sa in range(n)
-            for sb in range(n)
-        ]
+    return tuple(
+        (
+            cell(a, b, sa, sb),
+            tuple((cell(via, a, s, sa), cell(via, b, s, sb)) for s in range(n)),
+        )
+        for via, a, b in _families(k)
+        for sa in range(n)
+        for sb in range(n)
+    )
 
-    rules = []
-    for via in (1, 0):
-        for a in range(2, k):
-            for b in range(a + 1, k):
-                rules += through(via, a, b)
-    for a, via in ((0, 1), (1, 0)):
-        for b in range(2, k):
-            rules += through(via, a, b)
-    return tuple(rules)
+
+def _recheck_rules(n, k, rules, row):
+    """The rules the complete row `row` can break, in table order.
+
+    The state before a row passed every rule, and a row lowers exactly one
+    cell per column-pair block.  A rule's slack
+    sum(min(cap[x], cap[y])) - cap[d] loses at most one per term that reads
+    a lowered cell and gains one if d was lowered, so a rule with no more
+    such terms than lowered demands still holds.  In family (via, a, b) with
+    demand d = (a, b, sa, sb) only the term s = row[via] can be touched: its
+    x is lowered iff sa == row[a], its y iff sb == row[b], and when both
+    are, d is lowered too.  The rules to recheck are thus those with
+    (sa == row[a]) != (sb == row[b]): 2(n-1) of each family's n*n.
+    """
+    n2 = n * n
+    # cross[ra*n + rb]: the offsets of those rules within a family, in order
+    cross = [
+        [sa * n + rb for sa in range(ra)]
+        + [ra * n + sb for sb in range(n) if sb != rb]
+        + [sa * n + rb for sa in range(ra + 1, n)]
+        for ra in range(n)
+        for rb in range(n)
+    ]
+    return tuple(
+        [
+            rules[f * n2 + i]
+            for f, (_, a, b) in enumerate(_families(k))
+            for i in cross[row[a] * n + row[b]]
+        ]
+    )
 
 
 def _hall(cap, rules):
@@ -246,10 +305,9 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
     """Canonical DFS below a fixed row prefix.
 
     Returns a dict with keys status/nodes/witness/solutions/rest.  `tables`
-    is `_tables(n, k)`, built here when not given.
-    `force[r][c]` is the symbol row r must take in column c, or -1 where it
-    branches; the prefix rows are forced whole (so they must follow the
-    forced columns 0 and 1) and are not nodes.
+    is `_tables(n, k)`, built here when not given.  The prefix rows are
+    forced whole (so they must follow the forced columns 0 and 1) and are
+    not nodes.
 
     With `chunk` set, the run stops when its node counter reaches `chunk`
     and `rest` hands back the rest of its subtree as prefixes in DFS order:
@@ -260,19 +318,16 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
     The budget and the interval share one `stop_at`; a budget that falls
     at the interval stops the run.
 
+    Every row is placed cell by cell along the trie of `_tables`: placing
+    symbol s reads its capacity indices from the node of the row's partial
+    prefix, undoing the cell reads the same tuple, and a complete row reads
+    its recheck rule set from its leaf.  A free row checks and places its
+    forced cells (colcap 0, colcap 1 and block (0, 1)) once per frame and
+    branches from column 2; a prefix row runs the same cell loop from
+    column 0 with one candidate per cell.
+
     The prefix is checked against every Hall rule; each complete row after
-    it is checked only against the rules it can break.  Why that suffices:
-    the state before the row passed every rule (the prefix check, then
-    every accepted row), and a row lowers exactly one cell per column-pair
-    block.  A rule's slack sum(min(cap[x], cap[y])) - cap[d] loses at most
-    one per term that reads a lowered cell and gains one if d was lowered,
-    so a rule with no more such terms than lowered demands still holds.  In
-    family (via, a, b) with demand d = (a, b, sa, sb) only the term
-    s = row[via] can be touched: its x is lowered iff sa == row[a], its y
-    iff sb == row[b], and when both are, d is lowered too.  The rules to
-    recheck are thus those with (sa == row[a]) != (sb == row[b]), kept in
-    table order.  The memo `recheck` maps each complete row tried to them;
-    it lives as long as `tables`.
+    it is checked only against its leaf's recheck set (`_recheck_rules`).
     """
     out = {"status": EXHAUSTED, "nodes": 0, "witness": None, "solutions": 0, "rest": []}
     stop = _stop_flag
@@ -280,8 +335,7 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
         return dict(out, status=BUDGET_EXCEEDED)
     N = lam * n * n
     lns = lam * n
-    n2 = n * n
-    pidx, rules, recheck = tables or _tables(n, k)
+    pidx, rules, root = tables or _tables(n, k)
     stop_at = node_budget
     if chunk is not None and (stop_at is None or chunk < stop_at):
         stop_at = chunk
@@ -289,25 +343,14 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
     # Sorted rows force columns 0 and 1 as functions of the row index, so
     # before row r, block (0, 1) counts the rows >= r with forced pair
     # (s0, s1): the Hall rules read only live capacities, no per-row tables.
-    cc = k * (k - 1) // 2 * n2
+    cc = k * (k - 1) // 2 * n * n
     cap = [lam] * cc + [lns] * (k * n)
     start_r = len(prefix)
-    force = [list(row) for row in prefix] + [
-        [r // lns, (r % lns) // lam] + [-1] * (k - 2) for r in range(start_r, N)
-    ]
 
     grid = [[0] * k for _ in range(N)]
     rest = out["rest"]
-
-    def touched(row):
-        """The rules the complete row `row` can break, in table order: those
-        with more terms reading a lowered cell than lowered demands."""
-        low = {pidx[a][c] * n2 + row[a] * n + row[c] for c in range(k) for a in range(c)}
-        return tuple(
-            rule
-            for rule in rules
-            if sum(x in low or y in low for x, y in rule[1]) > (rule[0] in low)
-        )
+    top = [n - 1] * k
+    floor = [0] * k
 
     def dfs(r):
         if r >= start_r:
@@ -331,74 +374,94 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
                 return
         row = grid[r]
         prev = grid[r - 1] if r > 0 else None
-        fr = force[r]
-        # offs[c]: where column c's symbol lands in cap (colcap, then the
-        # (a, c) blocks at row[a]); fixed while columns < c keep their symbols.
-        offs = [None] * k
-        c = 0
-        tight = [True] + [False] * k
-        row[0] = -1
+        # path[c]: the trie node of row[:c]; tight[c]: row[:c] == prev[:c]
+        path = [root] + [None] * k
+        tight = [prev is not None] + [False] * k
+        if r < start_r:
+            # column c tries most[c] down to the larger of least[c] and
+            # prev[c] (while row[:c] == prev[:c]): one symbol in a prefix row
+            most = least = prefix[r]
+            c0 = 0
+            fixed = ()
+        else:
+            most, least = top, floor
+            c0 = 2
+            s0 = r // lns
+            s1 = (r % lns) // lam
+            if prev is not None and (s0, s1) < (prev[0], prev[1]):
+                return
+            row[0] = s0
+            row[1] = s1
+            one = root[n + s0]
+            if one is None:
+                one = root[n + s0] = _node(n, k, pidx, rules, row, 1)
+            fixed = root[s0] + one[s1]
+            for o in fixed:
+                if cap[o] <= 0:
+                    return
+            for o in fixed:
+                cap[o] -= 1
+            two = one[n + s1]
+            if two is None:
+                two = one[n + s1] = _node(n, k, pidx, rules, row, 2)
+            path[2] = two
+            tight[2] = prev is not None and s0 == prev[0] and s1 == prev[1]
+        c = c0
+        if c < k:
+            row[c] = -1
         split = False
-        while c >= 0:
+        while True:
             if c == k:
+                key, sub = path[k]
                 if r < start_r:
                     dfs(r + 1)
-                else:
-                    key = tuple(row)
-                    sub = recheck.get(key)
-                    if sub is None:
-                        sub = recheck[key] = touched(key)
-                    if _hall(cap, sub):
-                        if split:
-                            # rest[0] is the node not entered; its first r
-                            # rows are this frame's prefix
-                            rest.append(rest[0][:r] + (key,))
-                        else:
-                            try:
-                                dfs(r + 1)
-                            except _Split:
-                                split = True
+                elif _hall(cap, sub):
+                    if split:
+                        # rest[0] is the node not entered; its first r
+                        # rows are this frame's prefix
+                        rest.append(rest[0][:r] + (key,))
+                    else:
+                        try:
+                            dfs(r + 1)
+                        except _Split:
+                            split = True
                 if out["solutions"] and mode == "exists":
                     return
-                c -= 1
-                s = row[c]
-                for o in offs[c]:
-                    cap[o + s] += 1
-                continue
-            if row[c] < 0:
-                offs[c] = [cc + c * n] + [pidx[a][c] * n2 + row[a] * n for a in range(c)]
-            co = offs[c]
-            forced = fr[c]
-            lo = prev[c] if (prev is not None and tight[c]) else 0
-            if forced >= 0:
-                usable = row[c] < forced and forced >= lo
-                cands = (forced,) if usable else ()
             else:
-                start = row[c] - 1 if row[c] >= 0 else n - 1
-                cands = range(start, lo - 1, -1)
-            placed = False
-            for s in cands:
-                for o in co:
-                    if cap[o + s] <= 0:
+                node = path[c]
+                lo = prev[c] if tight[c] else 0
+                f = least[c]
+                start = row[c] - 1 if row[c] >= 0 else most[c]
+                placed = False
+                for s in range(start, (lo if lo > f else f) - 1, -1):
+                    ix = node[s]
+                    for o in ix:
+                        if cap[o] <= 0:
+                            break
+                    else:
+                        for o in ix:
+                            cap[o] -= 1
+                        row[c] = s
+                        tight[c + 1] = tight[c] and s == prev[c]
+                        placed = True
                         break
-                else:
-                    row[c] = s
-                    for o in co:
-                        cap[o + s] -= 1
-                    tight[c + 1] = tight[c] and (prev is not None and s == prev[c])
-                    placed = True
-                    break
-            if placed:
-                c += 1
-                if c < k:
-                    row[c] = -1
-            else:
+                if placed:
+                    child = node[n + s]
+                    if child is None:
+                        child = node[n + s] = _node(n, k, pidx, rules, row, c + 1)
+                    c += 1
+                    path[c] = child
+                    if c < k:
+                        row[c] = -1
+                    continue
                 row[c] = -1
-                c -= 1
-                if c >= 0:
-                    s = row[c]
-                    for o in offs[c]:
-                        cap[o + s] += 1
+            c -= 1
+            if c < c0:
+                break
+            for o in path[c][row[c]]:
+                cap[o] += 1
+        for o in fixed:
+            cap[o] += 1
         if split:
             raise _Split
 
@@ -412,9 +475,9 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
     return out
 
 
-def _pool_size(workers, subtrees):
-    """Processes worth starting: no more than the subtrees on hand or the CPUs."""
-    return min(workers, subtrees, os.cpu_count() or 1)
+def _pool_size(workers, tasks):
+    """Processes worth starting: no more than the tasks on hand or the CPUs."""
+    return min(workers, tasks, os.cpu_count() or 1)
 
 
 def _ends_search(res, mode):
@@ -430,6 +493,12 @@ def _finish(problem, raw):
         strength_lambda(witness, 2)
         achieved = row_multiplicities(witness).max_multiplicity
     return SearchResult(raw["status"], witness, raw["nodes"], achieved, raw["solutions"])
+
+
+def _check_workers(workers):
+    """Raise ValueError unless `workers` is an int >= 1 (a bool is not)."""
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError("workers must be an int >= 1")
 
 
 def search_oa(problem, workers=1):
@@ -449,8 +518,10 @@ def search_oa(problem, workers=1):
 
     A run stopped by a budget reports no witness and solution_count 0.  A
     run stopped by its wall budget reports the nodes replayed in DFS order,
-    never the node budget unless that budget was reached.
+    never the node budget unless that budget was reached.  `workers` must
+    be an int >= 1.
     """
+    _check_workers(workers)
     p = problem
     prefix = ((0,) * p.k,) * p.m
     deadline = None if p.wall_budget is None else time.monotonic() + p.wall_budget
@@ -532,8 +603,10 @@ def maximize_stages(
 
     Walks m down from the counting bound's floor to 1 and stops after the
     first stage that is not exhausted: a found witness, or a budget that ran
-    out.  Each stage gets the full node and wall budgets.
+    out.  Each stage gets the full node and wall budgets.  `workers` is
+    checked before the first stage, also when no stage runs.
     """
+    _check_workers(workers)
     for m in range(max_multiplicity(k, n, lam).integer_form, 0, -1):
         problem = SearchProblem(
             n, k, lam, m=m, node_budget=node_budget, wall_budget=wall_budget, ceiling=ceiling

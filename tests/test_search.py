@@ -224,6 +224,20 @@ def test_argument_validation():
             SearchProblem(**{"n": 2, "k": 3, "lam": 1, **bad})
 
 
+@pytest.mark.parametrize("workers", [0, -3, 2.5, "2", True, False, None])
+def test_workers_are_validated(workers):
+    # a worker count must be an int >= 1; a bool is not taken as 0 or 1
+    with pytest.raises(ValueError, match="workers"):
+        search_oa(SearchProblem(2, 4, 3), workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        next(maximize_stages(2, 4, 3, workers=workers))
+    with pytest.raises(ValueError, match="workers"):
+        oracle_max_multiplicity(2, 4, 3, workers=workers)
+    # also where the counting bound leaves no stage to search
+    with pytest.raises(ValueError, match="workers"):
+        oracle_max_multiplicity(2, 6, 1, workers=workers)
+
+
 # ---------------------------------------------------------------------------
 # determinism and parallel workers
 # ---------------------------------------------------------------------------
@@ -330,6 +344,24 @@ def test_kernel_hands_back_the_rest_of_its_subtree_in_dfs_order():
     assert witnesses[0] == whole["witness"]
 
 
+def test_kernel_runs_share_one_trie():
+    # The row-prefix trie of `_tables` depends on (n, k) alone: runs with
+    # other lambdas, prefixes, modes and chunk intervals grow one shared
+    # trie and return what a run on fresh tables returns.
+    for n, k, lams in [(2, 4, (1, 2, 3)), (3, 4, (1, 2))]:
+        shared = search_module._tables(n, k)
+        for lam, m, mode, chunk in itertools.product(lams, (0, 1), ("exists", "count"), (None, 7)):
+            prefix = ((0,) * k,) * m
+            # then up to two nodes a chunk did not enter: longer prefixes
+            for _ in range(3):
+                args = (n, k, lam, prefix, mode, 2000, None)
+                raw = search_module._kernel(*args, shared, chunk)
+                assert raw == search_module._kernel(*args, search_module._tables(n, k), chunk)
+                if not raw["rest"]:
+                    break
+                prefix = raw["rest"][0]
+
+
 def refuse_to_start(*args, **kwargs):
     raise AssertionError("a worker process was started")
 
@@ -362,17 +394,17 @@ def test_parallel_wall_budget_never_reports_more_than_the_tree():
 
 
 @pytest.mark.parametrize(
-    "workers,subtrees,cpus,size",
+    "workers,tasks,cpus,size",
     [
         (2, 5, 8, 2),
-        (64, 5, 8, 5),  # no more processes than subtrees
+        (64, 5, 8, 5),  # no more processes than tasks
         (64, 500, 8, 8),  # nor than CPUs
         (4, 9, None, 1),  # an unknown CPU count allows one
     ],
 )
-def test_pool_size_is_capped(monkeypatch, workers, subtrees, cpus, size):
+def test_pool_size_is_capped(monkeypatch, workers, tasks, cpus, size):
     monkeypatch.setattr(search_module.os, "cpu_count", lambda: cpus)
-    assert search_module._pool_size(workers, subtrees) == size
+    assert search_module._pool_size(workers, tasks) == size
 
 
 def test_subtree_search_honours_an_absolute_deadline():
@@ -500,6 +532,27 @@ def reference_tables(n, k, lam):
         avail0.append(a0)
         slots2.append(s2)
     return pidx, avail0, slots2
+
+
+def scanned_recheck(n, k, rules, row):
+    """The recheck set by its definition: a scan of the whole rule table for
+    the rules with more terms reading a lowered cell than lowered demands."""
+    pidx, _, _ = reference_tables(n, k, 1)
+    low = {pidx[a][c] * n * n + row[a] * n + row[c] for c in range(k) for a in range(c)}
+    return tuple(
+        rule
+        for rule in rules
+        if sum(x in low or y in low for x, y in rule[1]) > (rule[0] in low)
+    )
+
+
+@pytest.mark.parametrize("n,k", [(2, 4), (3, 4), (2, 7), (4, 3)])
+def test_recheck_rules_match_the_scan_on_every_row(n, k):
+    _, rules, _ = search_module._tables(n, k)
+    for row in itertools.product(range(n), repeat=k):
+        picked = search_module._recheck_rules(n, k, rules, row)
+        assert picked == scanned_recheck(n, k, rules, row)
+        assert len(picked) == len(search_module._families(k)) * 2 * (n - 1)
 
 
 def reference_hall(n, k, lam, r_next, cap):
