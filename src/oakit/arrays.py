@@ -34,13 +34,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OrthogonalArray:
-    """An N x k array over the alphabet {0, ..., n-1}."""
+    """An N x k array over the alphabet {0, ..., n-1}; n, k and entries are ints."""
 
     n: int
     k: int
     rows: tuple
 
     def __post_init__(self):
+        # bools and floats are rejected: format_oa would write them as
+        # `True` or `2.0`, which parse_oa does not read back
+        if type(self.n) is not int or type(self.k) is not int:
+            raise ValueError("alphabet size n and column count k must be ints")
         if self.n < 2:
             raise ValueError("alphabet size n must be at least 2")
         if self.k < 2:
@@ -53,7 +57,7 @@ class OrthogonalArray:
             if len(row) != self.k:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {self.k}")
             for e in row:
-                if not isinstance(e, int) or not 0 <= e < self.n:
+                if type(e) is not int or not 0 <= e < self.n:
                     raise ValueError(f"row {i}: entry {e!r} outside 0..{self.n - 1}")
 
     @property

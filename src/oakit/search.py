@@ -12,18 +12,18 @@ the symbol-pair capacities of every column pair, then the per-column symbol
 capacities (colcap).  Every ordered symbol pair in every column pair must
 be used exactly lambda times, a capacity may never go negative, and a
 Hall-type availability argument discards rows whose remaining demand
-cannot be met.  That argument
-is one flat table of rules, built once per search run, each demanding
-cap[d] <= sum(min(cap[x], cap[y])) over fixed index pairs: each remaining
-demand in a column pair (a, b) with b >= 2 must fit through every column in
-{0, 1} other than a.  Because columns 0 and 1 are forced, the rows still to
-come with the pair (s0, s1) in those columns number cap[(0,1)][s0][s1], so
-the rules read only live capacities.  No rule compares a demand with a
-column capacity: on a complete row such a rule always holds.  The state
-before a row passed every rule, so after placing the row only the rules it
-can break are rechecked: in family (via, a, b), those whose demand (sa, sb)
-matches the row in exactly one of columns a and b, 2(n-1) of the n*n rules
-per family.
+cannot be met.  That argument is one flat table of rules, built once per
+search run, each demanding cap[d] <= sum(min(cap[x], cap[y])) over fixed
+index pairs: each remaining demand in a column pair (a, b) with b >= 2 and
+a != 1 must fit through column 1.  Because columns 0 and 1 are forced, the
+rows still to come with the pair (s0, s1) in those columns number
+cap[(0,1)][s0][s1], so the rules read only live capacities.  No rule
+compares a demand with a column capacity or routes it through column 0: on
+a complete row such a rule always holds (`_hall_rules` shows why).  The
+state before a row passed every rule, so after placing the row only the
+rules it can break are rechecked: in family (a, b), those whose demand
+(sa, sb) matches the row in exactly one of columns a and b, 2(n-1) of the
+n*n rules per family.
 
 Everything a cell or a row needs that depends on the row prefix alone sits
 in one trie of row prefixes, grown lazily for the whole run (in each worker
@@ -86,9 +86,10 @@ class SearchProblem:
 
     `m` = 0 leaves multiplicity free; m >= 1 forces the first m rows to
     all-zeros.  `mode` is "exists" (stop at the first solution) or "count"
-    (traverse everything and count canonical solutions).  `node_budget` and
-    `wall_budget` (seconds) cap the run; the row count lambda*n**2 must not
-    exceed `ceiling`, an int >= 1.
+    (traverse everything and count canonical solutions).  `node_budget` (an
+    int >= 0) and `wall_budget` (seconds, an int or float >= 0) cap the run,
+    and neither may be a bool; the row count lambda*n**2 must not exceed
+    `ceiling`, an int >= 1.
     """
 
     n: int
@@ -118,7 +119,9 @@ class SearchProblem:
         ):
             raise ValueError("node budget must be a nonnegative int")
         wall = self.wall_budget
-        if wall is not None and not (isinstance(wall, (int, float)) and wall >= 0):
+        if wall is not None and (
+            isinstance(wall, bool) or not isinstance(wall, (int, float)) or not wall >= 0
+        ):
             raise ValueError("wall budget must be a number >= 0")
         if type(self.ceiling) is not int or self.ceiling < 1:
             raise ValueError("ceiling must be an int >= 1")
@@ -212,30 +215,39 @@ def _node(n, k, pidx, rules, row, c):
 
 
 def _families(k):
-    """The rule families (via, a, b) in the order of `_hall_rules`' table.
+    """The rule families (a, b) in the order of `_hall_rules`' table.
 
-    The (a, b >= 2) families through column 1 come first because nearly
-    every rejection happens there; the verdict does not depend on the order.
+    Each family routes the demands of column pair (a, b) through column 1:
+    the inner (a, b >= 2) families first, because nearly every rejection
+    happens there, then (0, b >= 2).  The verdict does not depend on the
+    order.
     """
     inner = [(a, b) for a in range(2, k) for b in range(a + 1, k)]
-    return [(via, a, b) for via in (1, 0) for a, b in inner] + [
-        (via, a, b) for a, via in ((0, 1), (1, 0)) for b in range(2, k)
-    ]
+    return inner + [(0, b) for b in range(2, k)]
 
 
 def _hall_rules(n, k, pidx):
     """The Hall-type availability rules, as one flat table.
 
     A rule (d, ((x, y), ...)) holds when cap[d] <= sum(min(cap[x], cap[y])).
-    Each remaining demand cap[(a,b)][sa][sb] with b >= 2 must fit through
-    every other column v in {0, 1}: a row with (sa, sb) in (a, b) takes some
-    symbol s in column v, which needs room in both (v, a) and (v, b).
-    Family f = (via, a, b) of `_families` holds rules f*n*n .. f*n*n + n*n - 1,
-    one per demand (sa, sb) in that order.
+    Each remaining demand cap[(a,b)][sa][sb] with b >= 2 and a != 1 must fit
+    through column 1: a row with (sa, sb) in (a, b) takes some symbol s in
+    column 1, which needs room in both (1, a) and (1, b).  Family f = (a, b)
+    of `_families` holds rules f*n*n .. f*n*n + n*n - 1, one per demand
+    (sa, sb) in that order.
 
-    No rule bounds cap[(0,b)][s0][sb] by colcap[0][s0]: on the complete rows
-    `_hall` is called on, colcap[0][s0] equals the sum of cap[(0,b)][s0][.]
-    and no capacity is negative, so such a rule could never fail.
+    `_hall` is only called on complete rows, and there two kinds of rules
+    could never fail, so the table leaves them out:
+
+    - A bound on cap[(0,b)][s0][sb] by colcap[0][s0]: colcap[0][s0] equals
+      the sum of cap[(0,b)][s0][.] and no capacity is negative.
+    - A demand routed through column 0.  Sorted rows make column 0 the block
+      index r // (lambda*n).  After a row of block s0, every cell of a block
+      (0, x) is 0 for s < s0 and lambda for s > s0, and a demand is at most
+      lambda.  If s0 < n - 1, the term s = n - 1 alone covers it.  If
+      s0 = n - 1, the one live term reads cap[(0,a)][n-1][sa], the rows
+      still to come with sa in column a, which is the sum of
+      cap[(a,b)][sa][.] and so at least the demand; likewise for b.
     """
 
     def cell(a, b, sa, sb):
@@ -246,9 +258,9 @@ def _hall_rules(n, k, pidx):
     return tuple(
         (
             cell(a, b, sa, sb),
-            tuple((cell(via, a, s, sa), cell(via, b, s, sb)) for s in range(n)),
+            tuple((cell(1, a, s, sa), cell(1, b, s, sb)) for s in range(n)),
         )
-        for via, a, b in _families(k)
+        for a, b in _families(k)
         for sa in range(n)
         for sb in range(n)
     )
@@ -261,8 +273,8 @@ def _recheck_rules(n, k, rules, row):
     cell per column-pair block.  A rule's slack
     sum(min(cap[x], cap[y])) - cap[d] loses at most one per term that reads
     a lowered cell and gains one if d was lowered, so a rule with no more
-    such terms than lowered demands still holds.  In family (via, a, b) with
-    demand d = (a, b, sa, sb) only the term s = row[via] can be touched: its
+    such terms than lowered demands still holds.  In family (a, b) with
+    demand d = (a, b, sa, sb) only the term s = row[1] can be touched: its
     x is lowered iff sa == row[a], its y iff sb == row[b], and when both
     are, d is lowered too.  The rules to recheck are thus those with
     (sa == row[a]) != (sb == row[b]): 2(n-1) of each family's n*n.
@@ -279,7 +291,7 @@ def _recheck_rules(n, k, rules, row):
     return tuple(
         [
             rules[f * n2 + i]
-            for f, (_, a, b) in enumerate(_families(k))
+            for f, (a, b) in enumerate(_families(k))
             for i in cross[row[a] * n + row[b]]
         ]
     )

@@ -60,6 +60,27 @@ def test_array_constructor_rejects_bad_parameters():
         OrthogonalArray(2, 3, ((0, 0, -1),))
 
 
+@pytest.mark.parametrize(
+    "n,k,rows",
+    [
+        (2, 2, ((True, False), (False, True))),
+        (2.0, 2, ((0, 1), (1, 0))),
+        (2, 2.0, ((0, 1), (1, 0))),
+        (2, 2, ((0, 1.0), (1, 0))),
+        ("2", 2, ((0, 1), (1, 0))),
+    ],
+)
+def test_array_constructor_rejects_non_int_values(n, k, rows):
+    # format_oa once wrote these as `True False` or `2.0 2`, which parse_oa
+    # and `oakit verify` reject; their int forms round-trip
+    with pytest.raises(ValueError):
+        OrthogonalArray(n, k, rows)
+    array = OrthogonalArray(int(n), int(k), tuple(tuple(map(int, row)) for row in rows))
+    text = format_oa(array)
+    assert text == "2 2\n" + "\n".join(" ".join(map(str, row)) for row in array.rows) + "\n"
+    assert parse_oa(text) == array
+
+
 def test_array_rows_are_normalized_to_tuples():
     a = OrthogonalArray(2, 2, [[0, 1], [1, 0]])
     assert a.rows == ((0, 1), (1, 0))

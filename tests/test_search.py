@@ -178,6 +178,8 @@ def test_exhaustion_needs_full_traversal():
         dict(wall_budget=float("nan")),  # once ignored
         dict(wall_budget=-1.0),
         dict(wall_budget="1"),
+        dict(wall_budget=True),  # once ran as a 1 s budget
+        dict(wall_budget=False),  # once ran as a passed deadline
     ],
 )
 def test_budgets_are_validated(budgets, workers):
@@ -706,7 +708,7 @@ def test_hall_matches_reference_on_small_parameters(monkeypatch, n, k, lam, m):
 
 # Wide arrays under a node budget: many column pairs, so many distinct
 # recheck sets, each checked against the full reference predicate; and a
-# 27-row case where rules through column 0 reject early.
+# 27-row case where the rules on column 0's demands reject too.
 WIDE = [(2, 8, 2, 0), (2, 8, 2, 1), (2, 12, 3, 1), (3, 7, 2, 0), (3, 7, 2, 1), (3, 6, 3, 1)]
 
 
@@ -714,6 +716,52 @@ WIDE = [(2, 8, 2, 0), (2, 8, 2, 1), (2, 12, 3, 1), (3, 7, 2, 0), (3, 7, 2, 1), (
 def test_hall_matches_reference_on_wide_arrays(monkeypatch, n, k, lam, m):
     result, verdicts = differential_search(monkeypatch, n, k, lam, m=m, node_budget=2000)
     assert result.nodes_explored <= 2000
+    assert True in verdicts and False in verdicts
+
+
+def column0_rules(n, k, pidx):
+    """The Hall rules that route a demand through column 0, which the kernel
+    leaves out: the (a, b >= 2) demands for a = 1 and a >= 2, each as
+    (d, ((x, y), ...)) with cap[d] <= sum(min(cap[x], cap[y])) to hold."""
+    n2 = n * n
+    return [
+        (
+            pidx[a][b] * n2 + sa * n + sb,
+            [(pidx[0][a] * n2 + s * n + sa, pidx[0][b] * n2 + s * n + sb) for s in range(n)],
+        )
+        for a in range(1, k)
+        for b in range(max(a + 1, 2), k)
+        for sa in range(n)
+        for sb in range(n)
+    ]
+
+
+# Alphabets of 4 and 5 symbols: more column-0 blocks than any case above.
+LARGE_ALPHABETS = [
+    (4, 3, 1, dict(mode="count")),
+    (4, 4, 1, dict(m=1, mode="count")),
+    (4, 5, 2, dict(m=1, node_budget=2000)),
+    (5, 3, 1, dict(m=1, mode="count", node_budget=5000)),
+]
+
+
+@pytest.mark.parametrize("n,k,lam,options", LARGE_ALPHABETS)
+def test_rules_through_column_0_never_fail(monkeypatch, n, k, lam, options):
+    pidx, _, _ = reference_tables(n, k, lam)
+    dropped = column0_rules(n, k, pidx)
+    assert len(dropped) == ((k - 2) * (k - 3) // 2 + (k - 2)) * n * n
+    assert len(search_module._tables(n, k)[1]) == len(dropped)
+    real = search_module._hall
+
+    def hall(cap, rules):
+        # on every call, rejected ones included
+        for d, pairs in dropped:
+            assert cap[d] <= sum(min(cap[x], cap[y]) for x, y in pairs)
+        return real(cap, rules)
+
+    monkeypatch.setattr(search_module, "_hall", hall)
+    result, verdicts = differential_search(monkeypatch, n, k, lam, **options)
+    assert result.nodes_explored > 0
     assert True in verdicts and False in verdicts
 
 
