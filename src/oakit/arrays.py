@@ -74,9 +74,17 @@ class BlockDesign:
     blocks: tuple
 
     def __post_init__(self):
+        # bools and floats are rejected, as in OrthogonalArray: format_bibd
+        # would write them as `True` or `4.0`, which parse_bibd does not read back
+        if type(self.v) is not int or type(self.k) is not int:
+            raise ValueError("point count v and block size k must be ints")
         if not 2 <= self.k <= self.v:
             raise ValueError("need 2 <= k <= v")
-        blocks = tuple(tuple(sorted(b)) for b in self.blocks)
+        blocks = tuple(tuple(b) for b in self.blocks)
+        for i, block in enumerate(blocks):
+            if any(type(p) is not int for p in block):
+                raise ValueError(f"block {i} has a point that is not an int")
+        blocks = tuple(tuple(sorted(b)) for b in blocks)
         object.__setattr__(self, "blocks", blocks)
         for i, block in enumerate(blocks):
             if len(block) != self.k or len(set(block)) != self.k:

@@ -46,7 +46,6 @@ __all__ = [
     "VarianceAudit",
     "TransversalDesign",
     "IncidenceMatrix",
-    "RootCountVector",
     "RootVectorFamily",
     "ConstantWeightCodeFamily",
     "variance_audit",
@@ -406,28 +405,22 @@ def gram_certificate(array):
     lam = _index_of(array)
     n, k, N = array.n, array.k, array.N
     nk = n * k
-    cooc = [[0] * nk for _ in range(nk)]
+    size = nk + 1
+    gram = [[lam if p // n == q // n else 0 for q in range(nk)] + [lam] for p in range(nk)]
+    gram.append([lam] * nk + [k * lam])
     for row in array.rows:
         points = [j * n + row[j] for j in range(k)]
         for a in points:
             for b in points:
-                cooc[a][b] += 1
+                gram[a][b] += 1
 
-    size = nk + 1
-    gram = [[0] * size for _ in range(size)]
-    for p in range(nk):
-        for q in range(nk):
-            gram[p][q] = cooc[p][q] + (lam if p // n == q // n else 0)
-        gram[p][nk] = gram[nk][p] = lam
-    gram[nk][nk] = k * lam
-
-    expected = [[lam] * size for _ in range(size)]
-    for p in range(nk):
-        expected[p][p] += lam * n
-    expected[nk][nk] += (k - 1) * lam
+    def expected(p, q):
+        if p == q == nk:
+            return k * lam
+        return lam * (n + 1) if p == q else lam
 
     mismatches = [
-        (p, q) for p in range(size) for q in range(size) if gram[p][q] != expected[p][q]
+        (p, q) for p in range(size) for q in range(size) if gram[p][q] != expected(p, q)
     ]
     top = gram[0]
     det = integer_det([top] + [[a - b for a, b in zip(row, top)] for row in gram[1:]])
@@ -441,7 +434,7 @@ def gram_certificate(array):
         if check.check_id == "det-positive":
             return NonpositiveDeterminant(f"Gram determinant {det} is not positive")
         p, q = mismatches[0]
-        return LemmaViolated(f"Gram entry {(p, q)}: got {gram[p][q]}, expected {expected[p][q]}")
+        return LemmaViolated(f"Gram entry {(p, q)}: got {gram[p][q]}, expected {expected(p, q)}")
 
     return _require(report, failure)
 
@@ -449,21 +442,6 @@ def gram_certificate(array):
 # ---------------------------------------------------------------------------
 # Roots-of-unity audit.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RootCountVector:
-    """A sum of n-th roots of unity, stored as the count of each exponent."""
-
-    n: int
-    counts: tuple
-
-    def reduced(self):
-        """Remainder of sum(counts[s] * x^s) modulo the n-th cyclotomic polynomial."""
-        return reduce_root_sum(self.counts, self.n)
-
-    def is_zero(self):
-        return not self.reduced()
 
 
 @dataclass(frozen=True)
@@ -484,11 +462,11 @@ class RootVectorFamily:
     weights: tuple
 
     def product(self, a, b):
-        """Hermitian product of vectors a and b as a RootCountVector."""
+        """Hermitian product of vectors a and b: the weighted count of each exponent mod n."""
         counts = [0] * self.n
         for u, v, w in zip(self.vectors[a], self.vectors[b], self.weights):
             counts[(u - v) % self.n] += w
-        return RootCountVector(self.n, tuple(counts))
+        return tuple(counts)
 
 
 def root_vector_family(array):
@@ -515,12 +493,12 @@ def _orthogonality_report(family, method, implied_rhs, canonical, notes=()):
     total = sum(family.weights)
     checks = [_eq_check("family-size", size, 1 + k * (n - 1))]
     for a in range(size):
-        reduced = family.product(a, a).reduced()
+        reduced = reduce_root_sum(family.product(a, a), n)
         label = f"self@{family.labels[a]}"
         checks.append(Check(label, _fmt_poly(reduced), str(total), reduced == (total,)))
     pair = residual = None
     for a, b in combinations(range(size), 2):
-        reduced = family.product(a, b).reduced()
+        reduced = reduce_root_sum(family.product(a, b), n)
         ok = reduced == ()
         la, lb = family.labels[a], family.labels[b]
         checks.append(Check(f"orth@{la},{lb}", _fmt_poly(reduced), "0", ok))

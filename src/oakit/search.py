@@ -400,8 +400,6 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
             c0 = 2
             s0 = r // lns
             s1 = (r % lns) // lam
-            if prev is not None and (s0, s1) < (prev[0], prev[1]):
-                return
             row[0] = s0
             row[1] = s1
             one = root[n + s0]

@@ -278,6 +278,26 @@ def test_parse_oa_rejects_malformed(text):
         parse_oa(text)
 
 
+@pytest.mark.parametrize(
+    "v,k,blocks",
+    [
+        (4.0, 2, ((0, 1), (2, 3))),
+        (4, 2.0, ((0, 1), (2, 3))),
+        (4, 2, ((True, 0), (2.0, 3))),
+        (4, 2, ((0, 1), ("2", 3))),
+    ],
+)
+def test_block_design_constructor_rejects_non_int_values(v, k, blocks):
+    # format_bibd once wrote these as `4.0 2` or `0 True`, which parse_bibd
+    # rejects; their int forms round-trip
+    with pytest.raises(ValueError):
+        BlockDesign(v, k, blocks)
+    design = BlockDesign(int(v), int(k), tuple(tuple(map(int, b)) for b in blocks))
+    text = format_bibd(design)
+    assert text.splitlines()[0] == f"{int(v)} {int(k)}"
+    assert parse_bibd(text) == design
+
+
 def test_bibd_round_trip(fano):
     assert parse_bibd(format_bibd(fano)) == fano
     text = format_bibd(fano, comments=("seven points",))

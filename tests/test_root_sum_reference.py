@@ -1,0 +1,115 @@
+"""The root-sum audits against a reference written without the audit layer.
+
+`audit --method roots` and `audit --method shortened` must print, byte for
+byte, what `reference_lines` rebuilds from the array alone: every hermitian
+product counted by a plain zip loop over the coordinates and reduced with
+`reduce_root_sum`.  The reference never merges coordinates: the m copies of
+the repeated row stay m separate coordinates of weight 1, which must give
+the same products as the audit's one merged coordinate of weight m.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oakit import format_oa, normalize_repeated_row, reduce_root_sum
+from oakit.cli import REPORT_HEADER, main
+from test_invariance import BASES, relabelled
+from test_mutations import mutants
+
+
+def _poly(residual):
+    if len(residual) == 1:
+        return str(residual[0])
+    return "(" + ",".join(map(str, residual)) + ")" if residual else "0"
+
+
+def reference_lines(array, method, m):
+    """The stdout lines of `oakit audit --method <method> --m <m>` on `array`."""
+    n, k, N = array.n, array.k, array.N
+    lines = [REPORT_HEADER, f"method {method}"]
+    size = 1 + k * (n - 1)
+    if method == "roots":
+        extra, notes, rhs = [], [], N
+    else:
+        try:
+            array = normalize_repeated_row(array, m)
+        except ValueError:
+            return lines + ["error invalid-claim"]
+        extra, rhs = [f"m {m}"], N - m + 1
+        notes = [
+            f"# coordinate merging proves k(n-1)+m = {k * (n - 1) + m} <= N = {N}; "
+            f"the counting bound sharpens this to m(k(n-1)+1) = {m * (k * (n - 1) + 1)} <= N"
+        ]
+    columns = list(zip(*array.rows))
+    family = [("C0", (0,) * N)] + [
+        (f"{mult}C{j + 1}", tuple(mult * s % n for s in columns[j]))
+        for j in range(k)
+        for mult in range(1, n)
+    ]
+
+    def reduced(u, v):
+        counts = [0] * n
+        for x, y in zip(u, v):
+            counts[(x - y) % n] += 1
+        return reduce_root_sum(tuple(counts), n)
+
+    checks = [("family-size", str(len(family)), str(size), len(family) == size)]
+    for label, u in family:
+        r = reduced(u, u)
+        checks.append((f"self@{label}", _poly(r), str(N), r == (N,)))
+    for a, (la, u) in enumerate(family):
+        for lb, v in family[a + 1 :]:
+            r = reduced(u, v)
+            checks.append((f"orth@{la},{lb}", _poly(r), "0", r == ()))
+    passed = all(ok for *_, ok in checks) and size <= rhs
+    verdict = ("TIGHT" if size == rhs else "PASS") if passed else "FAIL"
+    report = notes + [f"CHECK {c} {lhs} {r} {'PASS' if ok else 'FAIL'}" for c, lhs, r, ok in checks]
+    report.append(f"IMPLIES {size}<={rhs} {verdict}")
+    if passed:
+        return lines + extra + report
+    failing = [f"failing-check {c}" for c, *_, ok in checks if not ok][:1]
+    return lines + report + failing + ["error audit-failed"]
+
+
+def assert_cli_matches_reference(array, m, path):
+    path.write_text(format_oa(array))
+    for method in ("roots", "shortened"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            main(["audit", str(path), "--method", method, "--m", str(m)])
+        expected = reference_lines(array, method, m)
+        assert out.getvalue().splitlines() == expected, (method, m, array.rows)
+
+
+@pytest.mark.parametrize("base", BASES)
+def test_root_sum_audits_match_the_reference_on_every_forged_cell(tmp_path, base):
+    array, m = BASES[base]
+    assert_cli_matches_reference(array, m, tmp_path / "array.txt")
+    for mutant in mutants(array):
+        assert_cli_matches_reference(mutant, m, tmp_path / "array.txt")
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("root-sums")
+
+
+@pytest.mark.parametrize("base", BASES)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_root_sum_audits_match_the_reference_on_rewritten_arrays(workdir, base, data):
+    array, m = BASES[base]
+    rows = data.draw(st.permutations(range(array.N)), label="rows")
+    columns = data.draw(st.permutations(range(array.k)), label="columns")
+    symbols = data.draw(
+        st.lists(st.permutations(range(array.n)), min_size=array.k, max_size=array.k),
+        label="symbols",
+    )
+    array = relabelled(array, rows, columns, symbols)
+    forged = data.draw(st.none() | st.sampled_from(list(mutants(array))), label="forged")
+    claim = data.draw(st.integers(1, m), label="m")
+    assert_cli_matches_reference(forged or array, claim, workdir / f"{base}.txt")

@@ -346,6 +346,26 @@ def test_kernel_hands_back_the_rest_of_its_subtree_in_dfs_order():
     assert witnesses[0] == whole["witness"]
 
 
+@pytest.mark.parametrize("n,k,lam,m", [(2, 4, 3, 0), (2, 4, 3, 2), (3, 4, 2, 1), (3, 5, 3, 2)])
+def test_handed_back_prefix_rows_carry_the_forced_columns(n, k, lam, m):
+    # A free row r places the forced pair (r // (lam*n), (r % (lam*n)) // lam)
+    # in columns 0 and 1, which never decreases as r grows.  Every handed-back
+    # prefix row past the m all-zero rows was placed by the kernel, so it
+    # carries that pair, and a free row never sorts before the prefix row
+    # above it in columns 0 and 1.
+    tables = search_module._tables(n, k)
+    pending = [((0,) * k,) * m]
+    for _ in range(300):
+        if not pending:
+            break
+        raw = search_module._kernel(n, k, lam, pending.pop(0), "count", None, None, tables, 7)
+        for prefix in raw["rest"]:
+            assert prefix[:m] == ((0,) * k,) * m
+            for r, row in enumerate(prefix[m:], m):
+                assert row[:2] == (r // (lam * n), (r % (lam * n)) // lam)
+        pending[:0] = raw["rest"]
+
+
 def test_kernel_runs_share_one_trie():
     # The row-prefix trie of `_tables` depends on (n, k) alone: runs with
     # other lambdas, prefixes, modes and chunk intervals grow one shared
