@@ -362,10 +362,11 @@ def rank_bound_certificate(incidence):
     deleting the last group row (that row lies in the span of the others),
     so the other N+k-1 rows span an nk-dimensional space: nk <= N+k-1.
 
-    The reduced rank is eliminated first.  Since
-    rank(M[:-1]) <= rank(M) <= nk (M has nk columns), a reduced rank of nk
-    gives the full rank nk exactly, and only a shortfall takes a second
-    elimination of the whole matrix.
+    The reduced rank is taken first.  Since rank(M[:-1]) <= rank(M) <= nk
+    (M has nk columns), a reduced rank of nk gives the full rank nk exactly,
+    and only a shortfall takes a second rank of the whole matrix.  Each
+    rank is settled over GF(2) when that reaches nk, as it does for odd n,
+    and only otherwise by a sparse Bareiss elimination (see `linalg`).
     """
     n, k, N = incidence.n, incidence.k, incidence.N
     nk = n * k
@@ -399,8 +400,9 @@ def gram_certificate(array):
 
     Row 0 is subtracted from every other row before the elimination.  That
     step is unimodular, so the determinant is unchanged; on a valid Gram
-    matrix it leaves about 2 nonzeros per row, which the sparse pivot rule
-    of `integer_det` eliminates with small integers.
+    matrix it leaves about 2 nonzeros per row.  `integer_det` keeps only
+    those nonzeros, so each pivot step costs in proportion to the rows it
+    touches, and its sparse pivot rule keeps the integers small.
     """
     lam = _index_of(array)
     n, k, N = array.n, array.k, array.N

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oakit.certificates as certificates
+import oakit.linalg as linalg
 from oakit import (
     AuditFailure,
     AuditReport,
@@ -247,6 +248,48 @@ def test_rank_certificate_eliminates_twice_when_the_reduced_rank_falls_short(mon
         }
     assert _rank_checks(exc.value.report) == {"rank": str(nk), "rank-without-last-group": str(nk - 1)}
     assert exc.value.check_id == "rank-without-last-group"
+
+
+@pytest.mark.parametrize(
+    "array",
+    [generate_linear_oa(13, 14), stack(generate_linear_oa(11, 12), 2)],
+    ids=["linear-13-14", "stacked-11-12"],
+)
+def test_rank_certificate_settles_over_gf2_on_odd_n(monkeypatch, array):
+    # n odd: the incidence matrix reaches full rank nk over GF(2), so no
+    # Bareiss elimination runs and the CHECK values are unchanged.
+    def refuse(*args):
+        raise AssertionError("Bareiss ran")
+
+    monkeypatch.setattr(linalg, "_bareiss", refuse)
+    nk = array.n * array.k
+    report = rank_bound_certificate(incidence_matrix(to_transversal_design(array)))
+    assert report.passed
+    assert _rank_checks(report) == {"rank": str(nk), "rank-without-last-group": str(nk)}
+
+
+def test_rank_certificate_on_the_parity_array_reaches_bareiss(monkeypatch, parity):
+    # n = 2: the GF(2) rank falls short of nk, so the exact rank needs Bareiss.
+    calls = []
+    bareiss = linalg._bareiss
+
+    def counted(rows, ncols):
+        calls.append(len(rows))
+        return bareiss(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_bareiss", counted)
+    inc = incidence_matrix(to_transversal_design(parity))
+    report = rank_bound_certificate(inc)
+    assert report.passed and calls == [len(inc.matrix) - 1]
+    assert _rank_checks(report) == {"rank": "6", "rank-without-last-group": "6"}
+
+
+def test_gram_determinant_keeps_the_closed_form(oa65):
+    # det(lambda*J + diag(lambda*n, ..., lambda*n, (k-1)*lambda)) = (lambda*n)^(nk) * lambda * k^2
+    lam, n, k = 1, oa65.n, oa65.k
+    report = gram_certificate(oa65)
+    det_check = next(c for c in report.checks if c.check_id == "det-positive")
+    assert int(det_check.lhs) == (lam * n) ** (n * k) * lam * k * k
 
 
 def test_span_equations_and_rank_agree(oa242):

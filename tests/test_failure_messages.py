@@ -32,6 +32,8 @@ from oakit import (
     generate_linear_oa,
     gram_certificate,
     incidence_matrix,
+    integer_det,
+    integer_rank,
     normalize_to_row,
     orthogonality_certificate,
     parse_oa,
@@ -209,6 +211,24 @@ def test_failed_implied_bound_is_pinned(monkeypatch):
     assert type(info.value) is AuditFailure
     assert str(info.value) == "implied bound 3<=2 fails"
     assert (info.value.report, info.value.check_id) == (failed, None)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: integer_det([[1.5, 0], [0, 2]]),
+        lambda: integer_rank([[True, False], [False, True]]),
+        lambda: integer_rank([[1.0, 3], [2, 4]]),
+        lambda: integer_det([[2, 0], [0, False]]),
+    ],
+    ids=["det-float", "rank-bool", "rank-float", "det-bool"],
+)
+def test_non_int_matrix_entries_are_pinned(call):
+    # a float or a bool must never decide a rank or a determinant
+    with pytest.raises(TypeError) as info:
+        call()
+    assert type(info.value) is TypeError
+    assert str(info.value) == "matrix entries must be ints"
 
 
 FORGED_STDERR = {

@@ -211,3 +211,84 @@ def test_shifted_gram_matrix_keeps_the_predicted_determinant():
     shifted = [gram[0]] + [[a - b for a, b in zip(row, gram[0])] for row in gram[1:]]
     expected = (lam * n) ** nk * lam * k * k
     assert integer_det(gram) == integer_det(shifted) == gauss_det(shifted) == expected
+
+
+# ---------------------------------------------------------------------------
+# Property tests where the GF(2) rank falls short of min(rows, cols), so the
+# exact rank and every determinant come from the sparse Bareiss elimination
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def even_matrix(draw, square=False):
+    """Every entry even: the GF(2) rank is 0 whatever the rank over Q."""
+    m = draw(dense_matrix(square=square) if draw(st.booleans()) else sparse_matrix(square=square))
+    scale = 2 ** draw(st.integers(1, 3))
+    return [[scale * x for x in row] for row in m]
+
+
+@st.composite
+def even_combination_matrix(draw, square=False):
+    """A row doubled, or an even combination of earlier rows, then the rows permuted."""
+    m = draw(dense_matrix(square=square) if draw(st.booleans()) else sparse_matrix(square=square))
+    if len(m) < 2:
+        return m
+    i = draw(st.integers(1, len(m) - 1))
+    a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+    x, y = 2 * draw(st.integers(-2, 2)), 2 * draw(st.integers(-2, 2))
+    m[i] = [x * u + y * v for u, v in zip(m[a], m[b])] if draw(st.booleans()) else [2 * u for u in m[a]]
+    return draw(st.permutations(m))
+
+
+@st.composite
+def large_sparse_matrix(draw, square=False):
+    """20 to 60 rows, mostly zeros, some rows even combinations of others.
+
+    Built from a drawn seed: the column index and the deferred scaling of
+    untouched rows then run over many pivots with pivot != previous pivot.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(20, 60))
+    cols = rows if square else draw(st.integers(20, 60))
+    density = draw(st.sampled_from([0.05, 0.1, 0.2]))
+    m = [[rng.randrange(-5, 6) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, a, b = rng.randrange(rows), rng.randrange(rows), rng.randrange(rows)
+        x, y = 2 * rng.randrange(-2, 3), 2 * rng.randrange(-2, 3)
+        m[i] = [x * u + y * v for u, v in zip(m[a], m[b])]
+    return m
+
+
+SHORT_SQUARE = st.one_of(even_matrix(square=True), even_combination_matrix(square=True))
+SHORT_ANY = st.one_of(even_matrix(), even_combination_matrix())
+
+
+@settings(max_examples=150)
+@given(SHORT_SQUARE)
+def test_determinant_property_with_even_rows(m):
+    assert integer_det(m) == gauss_det(m)
+
+
+@settings(max_examples=150)
+@given(SHORT_ANY)
+def test_rank_property_with_even_rows(m):
+    assert integer_rank(m) == gauss_rank(m)
+
+
+@settings(max_examples=20)
+@given(large_sparse_matrix(square=True))
+def test_determinant_property_on_large_sparse_matrices(m):
+    assert integer_det(m) == gauss_det(m)
+
+
+@settings(max_examples=20)
+@given(large_sparse_matrix())
+def test_rank_property_on_large_sparse_matrices(m):
+    assert integer_rank(m) == gauss_rank(m)
+
+
+def test_gf2_rank_shortfall_still_gives_the_exact_rank():
+    # rank 2 over Q, 0 over GF(2); and a 2 x 2 minor that is even but nonzero
+    assert integer_rank([[2, 0], [0, 2]]) == 2
+    assert integer_rank([[1, 1], [1, 3]]) == 2
+    assert integer_det([[1, 1], [1, 3]]) == 2
