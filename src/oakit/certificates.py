@@ -398,11 +398,13 @@ def gram_certificate(array):
     The nk+1 vectors are then independent in an (N+k)-dimensional space,
     so nk+1 <= N+k.
 
-    Row 0 is subtracted from every other row before the elimination.  That
-    step is unimodular, so the determinant is unchanged; on a valid Gram
-    matrix it leaves about 2 nonzeros per row.  `integer_det` keeps only
-    those nonzeros, so each pivot step costs in proportion to the rows it
-    touches, and its sparse pivot rule keeps the integers small.
+    Each row after the first has its predecessor subtracted (row p minus
+    row p-1 of the Gram matrix) before the elimination.  That step is
+    unimodular, so the determinant is unchanged; on a valid Gram matrix it
+    leaves a bidiagonal block in which every shifted row has exactly 2
+    nonzeros.  `integer_det` keeps only those nonzeros, and its sparse
+    pivot rule picks a shifted row for every column, so each pivot step
+    touches one other row: row 0.
     """
     lam = _index_of(array)
     n, k, N = array.n, array.k, array.N
@@ -424,8 +426,9 @@ def gram_certificate(array):
     mismatches = [
         (p, q) for p in range(size) for q in range(size) if gram[p][q] != expected(p, q)
     ]
-    top = gram[0]
-    det = integer_det([top] + [[a - b for a, b in zip(row, top)] for row in gram[1:]])
+    det = integer_det(
+        [gram[0]] + [[a - b for a, b in zip(row, above)] for above, row in zip(gram, gram[1:])]
+    )
     checks = (
         _eq_check("lemma-entrywise", len(mismatches), 0),
         Check("det-positive", str(det), "0", det > 0),
@@ -493,14 +496,24 @@ def _orthogonality_report(family, method, implied_rhs, canonical, notes=()):
     n, k = family.n, family.k
     size = len(family.vectors)
     total = sum(family.weights)
+    # Residual of each distinct count tuple, kept for this call only: most
+    # products share a few count vectors, and the memo never outlives the audit.
+    residuals = {}
+
+    def reduce(counts):
+        residual = residuals.get(counts)
+        if residual is None:
+            residual = residuals[counts] = reduce_root_sum(counts, n)
+        return residual
+
     checks = [_eq_check("family-size", size, 1 + k * (n - 1))]
     for a in range(size):
-        reduced = reduce_root_sum(family.product(a, a), n)
+        reduced = reduce(family.product(a, a))
         label = f"self@{family.labels[a]}"
         checks.append(Check(label, _fmt_poly(reduced), str(total), reduced == (total,)))
     pair = residual = None
     for a, b in combinations(range(size), 2):
-        reduced = reduce_root_sum(family.product(a, b), n)
+        reduced = reduce(family.product(a, b))
         ok = reduced == ()
         la, lb = family.labels[a], family.labels[b]
         checks.append(Check(f"orth@{la},{lb}", _fmt_poly(reduced), "0", ok))

@@ -108,10 +108,13 @@ def _fail(lines, tag, exc, details=()):
 
 def _read_array(path):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        detail = f"not UTF-8 ({exc.reason} at byte {exc.start})"
+        raise FormatError(f"cannot read {path}: {detail}") from None
     return parse_oa(text)
 
 

@@ -353,6 +353,29 @@ def test_gram_determinant_at_full_size(array, permuted):
     assert det_check.lhs == str((lam * n) ** (n * k) * lam * k * k)
 
 
+@pytest.mark.parametrize(
+    "array",
+    [generate_linear_oa(13, 14), stack(generate_linear_oa(11, 12), 2)],
+    ids=["linear-13-14", "stacked-11-12"],
+)
+def test_gram_elimination_gets_a_bidiagonal_matrix(monkeypatch, array):
+    # Each row minus its predecessor: on a valid Gram matrix shifted row p
+    # has exactly 2 nonzeros, in columns p-1 and p, so no two shifted rows
+    # share a column and each pivot step touches one other row (row 0).
+    seen = []
+    det = certificates.integer_det
+
+    def captured(matrix):
+        seen.append(matrix)
+        return det(matrix)
+
+    monkeypatch.setattr(certificates, "integer_det", captured)
+    assert gram_certificate(array).passed
+    [matrix] = seen
+    support = [[j for j, x in enumerate(row) if x] for row in matrix[1:]]
+    assert support == [[p - 1, p] for p in range(1, len(matrix))]
+
+
 def test_gram_certificate_on_higher_index(oa242):
     report = gram_certificate(oa242)
     assert report.passed and not report.tight
@@ -428,6 +451,45 @@ def test_merged_products_equal_unshortened(oa353_m2):
         range(len(base.vectors)), 2
     ):
         assert merged.product(a, b) == base.product(a, b)
+
+
+def _count_reductions(monkeypatch):
+    calls = []
+    reduce = certificates.reduce_root_sum
+
+    def counted(counts, n):
+        calls.append(counts)
+        return reduce(counts, n)
+
+    monkeypatch.setattr(certificates, "reduce_root_sum", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "array, m",
+    [(generate_linear_oa(13, 14), 1), (stack(generate_linear_oa(11, 12), 2), 2)],
+    ids=["linear-13-14", "stacked-11-12"],
+)
+def test_root_sum_audits_reduce_each_count_vector_once(monkeypatch, array, m):
+    # Self-products all count (N, 0, ..., 0) and off-diagonal ones (N/n, ..., N/n),
+    # so each audit reduces two count vectors, not one per product.
+    calls = _count_reductions(monkeypatch)
+    assert orthogonality_certificate(root_vector_family(array)).passed
+    assert len(calls) == 2
+    calls.clear()
+    assert shortened_family_certificate(array, m).passed
+    assert len(calls) == 2
+
+
+def test_root_sum_audit_of_a_forgery_reduces_each_distinct_count_tuple_once(monkeypatch, oa65):
+    family = root_vector_family(forge(oa65))
+    size = len(family.vectors)
+    distinct = {family.product(a, b) for a in range(size) for b in range(a, size)}
+    calls = _count_reductions(monkeypatch)
+    with pytest.raises(NonOrthogonal):
+        orthogonality_certificate(family)
+    assert len(calls) == len(distinct) == 22
+    assert set(calls) == distinct
 
 
 def test_shortened_rejects_unrepeated_row(parity):

@@ -359,7 +359,7 @@ def test_console_script(parity_file):
 
 @pytest.fixture(scope="module")
 def argv_files(tmp_path_factory):
-    """Valid, forged, malformed and missing array files, by placeholder name."""
+    """Valid, forged, malformed, non-UTF-8 and missing array files, by placeholder name."""
     root = tmp_path_factory.mktemp("argv")
     parity = generate_linear_oa(2, 3)
     oa65 = generate_linear_oa(5, 6)
@@ -375,6 +375,8 @@ def argv_files(tmp_path_factory):
     files = {name: root / f"{name}.txt" for name in texts}
     for name, text in texts.items():
         files[name].write_text(text)
+    files["binary"] = root / "binary.txt"
+    files["binary"].write_bytes(b"\xff\xfe\x00bad")  # not UTF-8
     files["oa353"] = pathlib.Path(__file__).parent / "data" / "oa353_m2.txt"
     files["missing"] = root / "missing.txt"
     return {name: str(path) for name, path in files.items()}
@@ -400,7 +402,9 @@ def _command_line(draw):
     command = draw(st.sampled_from(["verify", "bounds", "audit", "search"]))
     argv = [command]
     file = "{%s}" % draw(
-        st.sampled_from(["parity", "stacked", "forged", "short", "malformed", "oa353", "missing"])
+        st.sampled_from(
+            ["parity", "stacked", "forged", "short", "malformed", "binary", "oa353", "missing"]
+        )
     )
     if command == "verify":
         argv.append(file)

@@ -251,3 +251,15 @@ def test_cli_stderr_on_a_forged_array_is_pinned(capsys, tmp_path, method):
     assert captured.err == stderr
     assert captured.out.startswith("#REPORT v1\n")
     assert captured.out.endswith(last + "\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify"], ["audit", "--method", "roots"]], ids=["verify", "audit"]
+)
+def test_cli_stderr_on_a_non_utf8_file_is_pinned(capsys, tmp_path, argv):
+    path = tmp_path / "bin.txt"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    assert main(argv[:1] + [str(path)] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"oakit: cannot read {path}: not UTF-8 (invalid start byte at byte 0)\n"
+    assert captured.out == ""

@@ -20,6 +20,26 @@ def test_no_invariant_rests_on_assert():
     assert found == []
 
 
+def test_every_open_names_its_encoding():
+    # without encoding= the host locale would decide how input is decoded
+    paths = sorted(PACKAGE.glob("*.py"))
+    calls = [
+        (path.name, node)
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "open"
+    ]
+    assert calls
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in calls
+        if not any(keyword.arg == "encoding" for keyword in node.keywords)
+    ]
+    assert found == []
+
+
 def test_package_exports_the_union_of_the_module_lists():
     # a public name is declared once, in its module's __all__
     modules = sorted({path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "cli"})
