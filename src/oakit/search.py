@@ -6,8 +6,8 @@ multiplicity m that pins the first m rows to all-zeros.  Sorting makes the
 first two columns a function of the row index alone, so only cells from
 column 2 on branch: a free row checks and places its three forced cells
 once, then runs the DFS cell loop from column 2.  The pinned rows are
-forced whole and placed by the same cell loop from column 0, but they are
-not search nodes.  One list of remaining capacities drives the pruning:
+placed whole before the DFS starts and are not search nodes.  One list of
+remaining capacities drives the pruning:
 the symbol-pair capacities of every column pair, then the per-column symbol
 capacities (colcap).  Every ordered symbol pair in every column pair must
 be used exactly lambda times, a capacity may never go negative, and a
@@ -28,8 +28,8 @@ n*n rules per family.
 Everything a cell or a row needs that depends on the row prefix alone sits
 in one trie of row prefixes, grown lazily for the whole run (in each worker
 process apart): the node of a partial row holds the capacity indices that
-each symbol takes in the next column, and the leaf of a complete row holds
-the row and its recheck rule set.
+each symbol takes in the next column, and the leaf of a complete row is its
+recheck rule set.
 
 `maximize_stages` runs the exists-search at each forced multiplicity from
 the counting bound's floor down; `oracle_max_multiplicity` and the CLI's
@@ -204,11 +204,10 @@ def _node(n, k, pidx, rules, row, c):
     Below c == k it is a list: for each symbol s, the indices in the
     capacity list that s takes in column c (colcap first, then the (a, c)
     blocks at row[a]), then n child slots, filled on first use.  At c == k
-    it is the leaf (key, recheck set) of the complete row.
+    it is the leaf: the recheck rule set of the complete row.
     """
     if c == k:
-        key = tuple(row)
-        return key, _recheck_rules(n, k, rules, key)
+        return _recheck_rules(n, k, rules, row)
     n2 = n * n
     base = [k * (k - 1) // 2 * n2 + c * n] + [pidx[a][c] * n2 + row[a] * n for a in range(c)]
     return [tuple([o + s for o in base]) for s in range(n)] + [None] * n
@@ -318,8 +317,9 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
 
     Returns a dict with keys status/nodes/witness/solutions/rest.  `tables`
     is `_tables(n, k)`, built here when not given.  The prefix rows are
-    forced whole (so they must follow the forced columns 0 and 1) and are
-    not nodes.
+    forced whole and are not nodes; they must be sorted and follow the
+    forced columns 0 and 1, which the m all-zero rows and every handed-back
+    prefix do.
 
     With `chunk` set, the run stops when its node counter reaches `chunk`
     and `rest` hands back the rest of its subtree as prefixes in DFS order:
@@ -333,13 +333,15 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
     Every row is placed cell by cell along the trie of `_tables`: placing
     symbol s reads its capacity indices from the node of the row's partial
     prefix, undoing the cell reads the same tuple, and a complete row reads
-    its recheck rule set from its leaf.  A free row checks and places its
-    forced cells (colcap 0, colcap 1 and block (0, 1)) once per frame and
-    branches from column 2; a prefix row runs the same cell loop from
-    column 0 with one candidate per cell.
+    its recheck rule set from its leaf.  The prefix rows are placed once,
+    in one loop before the DFS; a cell without room ends the run with no
+    node.  The DFS serves the free rows: each checks and places its forced
+    cells (colcap 0, colcap 1 and block (0, 1)) once per frame and branches
+    from column 2.
 
-    The prefix is checked against every Hall rule; each complete row after
-    it is checked only against its leaf's recheck set (`_recheck_rules`).
+    The prefix is checked against every Hall rule, so the run is exact for
+    any prefix; each complete row after it is checked only against its
+    leaf's recheck set (`_recheck_rules`).
     """
     out = {"status": EXHAUSTED, "nodes": 0, "witness": None, "solutions": 0, "rest": []}
     stop = _stop_flag
@@ -361,75 +363,74 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
 
     grid = [[0] * k for _ in range(N)]
     rest = out["rest"]
-    top = [n - 1] * k
-    floor = [0] * k
+    for row, want in zip(grid, prefix):
+        node = root
+        for c, s in enumerate(want):
+            ix = node[s]
+            for o in ix:
+                if cap[o] <= 0:
+                    return out
+            for o in ix:
+                cap[o] -= 1
+            row[c] = s
+            child = node[n + s]
+            if child is None:
+                child = node[n + s] = _node(n, k, pidx, rules, row, c + 1)
+            node = child
+    if start_r < N and not _hall(cap, rules):
+        return out
 
     def dfs(r):
-        if r >= start_r:
-            if r == start_r and r < N and not _hall(cap, rules):
-                return
-            if out["nodes"] == stop_at:
-                if stop_at == node_budget:
-                    raise _Stop
-                rest.append(tuple(map(tuple, grid[:r])))
-                raise _Split
-            if stop is not None and stop.value:
+        if out["nodes"] == stop_at:
+            if stop_at == node_budget:
                 raise _Stop
-            if deadline is not None and not out["nodes"] & 1023:
-                if time.monotonic() > deadline:
-                    raise _Stop
-            out["nodes"] += 1
-            if r == N:
-                out["solutions"] += 1
-                if out["witness"] is None:
-                    out["witness"] = [tuple(row) for row in grid]
-                return
+            rest.append(tuple(map(tuple, grid[:r])))
+            raise _Split
+        if stop is not None and stop.value:
+            raise _Stop
+        if deadline is not None and not out["nodes"] & 1023:
+            if time.monotonic() > deadline:
+                raise _Stop
+        out["nodes"] += 1
+        if r == N:
+            out["solutions"] += 1
+            if out["witness"] is None:
+                out["witness"] = [tuple(row) for row in grid]
+            return
         row = grid[r]
         prev = grid[r - 1] if r > 0 else None
         # path[c]: the trie node of row[:c]; tight[c]: row[:c] == prev[:c]
-        path = [root] + [None] * k
-        tight = [prev is not None] + [False] * k
-        if r < start_r:
-            # column c tries most[c] down to the larger of least[c] and
-            # prev[c] (while row[:c] == prev[:c]): one symbol in a prefix row
-            most = least = prefix[r]
-            c0 = 0
-            fixed = ()
-        else:
-            most, least = top, floor
-            c0 = 2
-            s0 = r // lns
-            s1 = (r % lns) // lam
-            row[0] = s0
-            row[1] = s1
-            one = root[n + s0]
-            if one is None:
-                one = root[n + s0] = _node(n, k, pidx, rules, row, 1)
-            fixed = root[s0] + one[s1]
-            for o in fixed:
-                if cap[o] <= 0:
-                    return
-            for o in fixed:
-                cap[o] -= 1
-            two = one[n + s1]
-            if two is None:
-                two = one[n + s1] = _node(n, k, pidx, rules, row, 2)
-            path[2] = two
-            tight[2] = prev is not None and s0 == prev[0] and s1 == prev[1]
-        c = c0
+        path = [None] * (k + 1)
+        tight = [False] * (k + 1)
+        s0 = r // lns
+        s1 = (r % lns) // lam
+        row[0] = s0
+        row[1] = s1
+        one = root[n + s0]
+        if one is None:
+            one = root[n + s0] = _node(n, k, pidx, rules, row, 1)
+        fixed = root[s0] + one[s1]
+        for o in fixed:
+            if cap[o] <= 0:
+                return
+        for o in fixed:
+            cap[o] -= 1
+        two = one[n + s1]
+        if two is None:
+            two = one[n + s1] = _node(n, k, pidx, rules, row, 2)
+        path[2] = two
+        tight[2] = prev is not None and s0 == prev[0] and s1 == prev[1]
+        c = 2
         if c < k:
             row[c] = -1
         split = False
         while True:
             if c == k:
-                key, sub = path[k]
-                if r < start_r:
-                    dfs(r + 1)
-                elif _hall(cap, sub):
+                if _hall(cap, path[k]):
                     if split:
                         # rest[0] is the node not entered; its first r
                         # rows are this frame's prefix
-                        rest.append(rest[0][:r] + (key,))
+                        rest.append(rest[0][:r] + (tuple(row),))
                     else:
                         try:
                             dfs(r + 1)
@@ -440,10 +441,9 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
             else:
                 node = path[c]
                 lo = prev[c] if tight[c] else 0
-                f = least[c]
-                start = row[c] - 1 if row[c] >= 0 else most[c]
+                start = row[c] - 1 if row[c] >= 0 else n - 1
                 placed = False
-                for s in range(start, (lo if lo > f else f) - 1, -1):
+                for s in range(start, lo - 1, -1):
                     ix = node[s]
                     for o in ix:
                         if cap[o] <= 0:
@@ -466,7 +466,7 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
                     continue
                 row[c] = -1
             c -= 1
-            if c < c0:
+            if c < 2:
                 break
             for o in path[c][row[c]]:
                 cap[o] += 1
@@ -476,7 +476,7 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
             raise _Split
 
     try:
-        dfs(0)
+        dfs(start_r)
     except _Stop:
         return dict(out, status=BUDGET_EXCEEDED, witness=None, solutions=0, rest=[])
     except _Split:

@@ -119,11 +119,14 @@ def test_pinned_search_outcomes(n, k, lam, m, status, nodes):
 
 def test_count_agrees_with_brute_force_enumeration():
     # every case with lambda*n*n <= 8 whose brute force enumerates at most
-    # about 1e5 row multisets, at every forced multiplicity
+    # about 1e5 row multisets, at every forced multiplicity and one past
+    # lambda, where the forced rows alone overflow a pair capacity
     for k, lam in [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2)]:
-        for m in range(lam + 1):
+        for m in range(lam + 2):
             result = search_oa(SearchProblem(2, k, lam, m=m, mode="count"))
             assert result.solution_count == brute_count(2, k, lam, m), (k, lam, m)
+            if m > lam:
+                assert result.nodes_explored == 0
     result = search_oa(SearchProblem(2, 2, 1, mode="count"))
     assert result.solution_count == brute_count(2, 2, 1) == 1
     assert result.nodes_explored == 5
@@ -159,6 +162,15 @@ def test_zero_node_budget():
     result = search_oa(SearchProblem(2, 2, 1, node_budget=0))
     assert result.status == "budget-exceeded"
     assert result.nodes_explored == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("budget", [None, 0])
+def test_forced_rows_past_lambda_fail_before_the_budget(budget, workers):
+    # four all-zero rows overflow the pair capacity lambda = 3 while they
+    # are placed, before the first node and so before any budget check
+    result = search_oa(SearchProblem(3, 5, 3, m=4, node_budget=budget), workers=workers)
+    assert (result.status, result.nodes_explored) == ("exhausted-no-solution", 0)
 
 
 def test_exhaustion_needs_full_traversal():
@@ -360,10 +372,27 @@ def test_handed_back_prefix_rows_carry_the_forced_columns(n, k, lam, m):
             break
         raw = search_module._kernel(n, k, lam, pending.pop(0), "count", None, None, tables, 7)
         for prefix in raw["rest"]:
+            assert list(prefix) == sorted(prefix)
             assert prefix[:m] == ((0,) * k,) * m
             for r, row in enumerate(prefix[m:], m):
                 assert row[:2] == (r // (lam * n), (r % (lam * n)) // lam)
         pending[:0] = raw["rest"]
+
+
+def test_kernel_places_a_whole_prefix_before_the_first_node():
+    # a complete valid prefix is one node and one solution, returned as
+    # the witness; a prefix that overflows a pair capacity is no node
+    tables = search_module._tables(2, 4)
+    rows = search_oa(SearchProblem(2, 4, 3, m=2)).witness.rows
+    raw = search_module._kernel(2, 4, 3, rows, "exists", None, None, tables)
+    assert (raw["status"], raw["nodes"], raw["solutions"]) == ("found", 1, 1)
+    assert tuple(raw["witness"]) == rows
+    # the last row doubles the one before it: still sorted, but where the
+    # two rows differ, a symbol pair of that row now appears lambda + 1 times
+    bad = rows[:-1] + rows[-2:-1]
+    assert rows[-2] != rows[-1] and list(bad) == sorted(bad)
+    raw = search_module._kernel(2, 4, 3, bad, "exists", None, None, tables)
+    assert (raw["status"], raw["nodes"]) == ("exhausted-no-solution", 0)
 
 
 def test_kernel_runs_share_one_trie():
