@@ -5,11 +5,12 @@ order (one representative per row multiset), with an optional forced
 multiplicity m that pins the first m rows to all-zeros.  Sorting makes the
 first two columns a function of the row index alone, so only cells from
 column 2 on branch: a free row checks and places its three forced cells
-once, then runs the DFS cell loop from column 2.  The pinned rows are
+once, then its cells branch from column 2.  The DFS is one loop over an
+explicit stack of free rows, with no recursion.  The pinned rows are
 placed whole before the DFS starts and are not search nodes.  One list of
-remaining capacities drives the pruning:
-the symbol-pair capacities of every column pair, then the per-column symbol
-capacities (colcap).  Every ordered symbol pair in every column pair must
+remaining capacities drives the pruning: the symbol-pair capacities of
+every column pair, then the symbol capacities (colcap) of the forced
+columns 0 and 1.  Every ordered symbol pair in every column pair must
 be used exactly lambda times, a capacity may never go negative, and a
 Hall-type availability argument discards rows whose remaining demand
 cannot be met.  That argument is one flat table of rules, built once per
@@ -23,13 +24,17 @@ a complete row such a rule always holds (`_hall_rules` shows why).  The
 state before a row passed every rule, so after placing the row only the
 rules it can break are rechecked: in family (a, b), those whose demand
 (sa, sb) matches the row in exactly one of columns a and b, 2(n-1) of the
-n*n rules per family.
+n*n rules per family.  Such a rule reads the row's cells in one term only,
+and one of that term's two cells went down by one, so its sum can only
+have fallen if that cell is now the smaller one: one comparison skips
+every other rule, and the verdict stays exact (`_hall`).
 
 Everything a cell or a row needs that depends on the row prefix alone sits
 in one trie of row prefixes, grown lazily for the whole run (in each worker
 process apart): the node of a partial row holds the capacity indices that
 each symbol takes in the next column, and the leaf of a complete row is its
-recheck rule set.
+recheck rule set.  A leaf is a tuple of references to rule objects built
+once per family and (row[1], row[a], row[b]), which rows share.
 
 `maximize_stages` runs the exists-search at each forced multiplicity from
 the counting bound's floor down; `oracle_max_multiplicity` and the CLI's
@@ -151,14 +156,6 @@ class SearchResult:
     solution_count: int
 
 
-class _Stop(Exception):
-    """Internal signal: a budget ran out mid-traversal."""
-
-
-class _Split(Exception):
-    """Internal signal: a chunk reached its node interval mid-traversal."""
-
-
 # Nodes a chunked kernel run explores before it hands back the rest of its
 # subtree: the cadence of the deadline check.
 _CHUNK_NODES = 1024
@@ -181,12 +178,16 @@ def _worker(conn, flag, tables, chunk):
 
 
 def _tables(n, k):
-    """pidx, the Hall rule table and the root of an empty row-prefix trie.
+    """The trie's layout, the Hall rule table and the root of an empty trie.
 
-    pidx[a][b] numbers the column pairs a < b.  Nothing here depends on
-    lambda, the prefix or the budgets, so one search run builds these once;
-    `_kernel` grows the trie as it places rows, and it lives as long as the
-    tables: one run, or one worker's life.
+    The layout is (pidx, shared, full).  pidx[a][b] numbers the column pairs
+    a < b, `shared` holds the recheck rules of each family for each
+    (row[1], row[a], row[b]) in the form `_hall` reads (`_shared_rules`),
+    and `full` is the whole rule table in that form, each rule with a
+    filter it always passes and all n terms to sum.  Nothing here depends
+    on lambda, the prefix or the budgets, so one search run builds these
+    once; `_kernel` grows the trie as it places rows, and it lives as long
+    as the tables: one run, or one worker's life.
     """
     pidx = [[0] * k for _ in range(k)]
     npairs = 0
@@ -195,21 +196,36 @@ def _tables(n, k):
             pidx[a][b] = npairs
             npairs += 1
     rules = _hall_rules(n, k, pidx)
-    return pidx, rules, _node(n, k, pidx, rules, (), 0)
+    shared = _shared_rules(n, k, rules)
+    # the kernel keeps cap[z] = 0 and cap[z + 1] = 1 after colcap, so each
+    # rule of `full` passes the filter and then sums every term
+    z = npairs * n * n + 2 * n
+    full = tuple([(z, z + 1, d, pairs) for d, pairs in rules])
+    return (pidx, shared, full), rules, _node(n, k, pidx, shared, (), 0)
 
 
-def _node(n, k, pidx, rules, row, c):
+def _node(n, k, pidx, shared, row, c):
     """The trie node of the partial row row[:c].
 
     Below c == k it is a list: for each symbol s, the indices in the
-    capacity list that s takes in column c (colcap first, then the (a, c)
-    blocks at row[a]), then n child slots, filled on first use.  At c == k
-    it is the leaf: the recheck rule set of the complete row.
+    capacity list that s takes in column c (colcap first if c < 2, then the
+    (a, c) blocks at row[a]), then n child slots, filled on first use.
+    Columns from 2 on keep no colcap: colcap[c][s] would be the sum of
+    block (0, c)'s cells at s, and the block's cell is checked.  At c == k
+    it is the leaf: the recheck rule set of the complete row, as the
+    entries of `shared` for its families, in table order.
     """
     if c == k:
-        return _recheck_rules(n, k, rules, row)
+        return tuple(
+            [
+                rule
+                for f, (a, b) in enumerate(_families(k))
+                for rule in shared[((f * n + row[1]) * n + row[a]) * n + row[b]]
+            ]
+        )
     n2 = n * n
-    base = [k * (k - 1) // 2 * n2 + c * n] + [pidx[a][c] * n2 + row[a] * n for a in range(c)]
+    base = [k * (k - 1) // 2 * n2 + c * n] if c < 2 else []
+    base += [pidx[a][c] * n2 + row[a] * n for a in range(c)]
     return [tuple([o + s for o in base]) for s in range(n)] + [None] * n
 
 
@@ -265,6 +281,18 @@ def _hall_rules(n, k, pidx):
     )
 
 
+def _cross(n):
+    """cross[ra*n + rb]: the offsets sa*n + sb within a family of the
+    demands with (sa == ra) != (sb == rb), in table order."""
+    return [
+        [sa * n + rb for sa in range(ra)]
+        + [ra * n + sb for sb in range(n) if sb != rb]
+        + [sa * n + rb for sa in range(ra + 1, n)]
+        for ra in range(n)
+        for rb in range(n)
+    ]
+
+
 def _recheck_rules(n, k, rules, row):
     """The rules the complete row `row` can break, in table order.
 
@@ -276,17 +304,12 @@ def _recheck_rules(n, k, rules, row):
     demand d = (a, b, sa, sb) only the term s = row[1] can be touched: its
     x is lowered iff sa == row[a], its y iff sb == row[b], and when both
     are, d is lowered too.  The rules to recheck are thus those with
-    (sa == row[a]) != (sb == row[b]): 2(n-1) of each family's n*n.
+    (sa == row[a]) != (sb == row[b]): 2(n-1) of each family's n*n.  This
+    is the plain form of a leaf; the kernel reads the same rules, in the
+    same order, in the form `_shared_rules` gives them.
     """
     n2 = n * n
-    # cross[ra*n + rb]: the offsets of those rules within a family, in order
-    cross = [
-        [sa * n + rb for sa in range(ra)]
-        + [ra * n + sb for sb in range(n) if sb != rb]
-        + [sa * n + rb for sa in range(ra + 1, n)]
-        for ra in range(n)
-        for rb in range(n)
-    ]
+    cross = _cross(n)
     return tuple(
         [
             rules[f * n2 + i]
@@ -296,19 +319,65 @@ def _recheck_rules(n, k, rules, row):
     )
 
 
+def _shared_rules(n, k, rules):
+    """Each family's recheck rules per (row[1], row[a], row[b]), as `_hall` reads them.
+
+    Entry ((f*n + s)*n + ra)*n + rb is, for a row with s, ra and rb in
+    columns 1, a and b of family f = (a, b), that family's part of
+    `_recheck_rules`, each rule (d, pairs) as (lowered, other, d, rest).
+    The one term the row touches is s = row[1] (see `_recheck_rules`): its
+    cell x = (1, a, s, sa) is lowered when sa == ra, its y = (1, b, s, sb)
+    otherwise, `other` is the term's second cell, and `rest` holds the
+    other n - 1 terms of pairs.  A leaf concatenates the entries of its
+    families, so rows that agree in columns 1, a and b share each rule
+    object of family (a, b).
+    """
+    n2 = n * n
+    cross = _cross(n)
+    shared = []
+    for f in range(len(_families(k))):
+        for s in range(n):
+            for ra in range(n):
+                for rb in range(n):
+                    entry = []
+                    for i in cross[ra * n + rb]:
+                        d, pairs = rules[f * n2 + i]
+                        x, y = pairs[s]
+                        rest = pairs[:s] + pairs[s + 1 :]
+                        entry.append((x, y, d, rest) if i // n == ra else (y, x, d, rest))
+                    shared.append(tuple(entry))
+    return shared
+
+
 def _hall(cap, rules):
-    """True when every rule of `_hall_rules` holds for the capacities `cap`."""
-    for d, pairs in rules:
-        c = cap[d]
-        if c:
-            for x, y in pairs:
-                x = cap[x]
-                y = cap[y]
-                c -= x if x < y else y
-                if c <= 0:
-                    break
-            else:
-                return False
+    """True when every rule holds for the capacities `cap`.
+
+    Each rule is (lowered, other, d, rest) and holds when
+    cap[d] <= min(cap[lowered], cap[other]) + sum(min(cap[x], cap[y])) over
+    the terms (x, y) of `rest`.  It is only evaluated when
+    cap[lowered] < cap[other], and then its first term is cap[lowered].
+
+    On a leaf's recheck set (`_shared_rules`) that filter is exact.  Every
+    rule held before the row was placed.  The row lowered cell `lowered` by
+    one and left d and the terms of `rest` alone, so the right side fell,
+    by one, only if min(cap[lowered], cap[other]) fell, that is if
+    cap[lowered] < cap[other] now.  A rule that fails the filter still
+    holds.  The rules of `full` read the constant cells 0 and 1 as their
+    first term, so each of them is evaluated over all its terms.
+    """
+    for lowered, other, d, rest in rules:
+        x = cap[lowered]
+        if x < cap[other]:
+            c = cap[d] - x
+            if c > 0:
+                for x, y in rest:
+                    x = cap[x]
+                    y = cap[y]
+                    c -= x if x < y else y
+                    if c <= 0:
+                        break
+                else:
+                    return False
     return True
 
 
@@ -321,48 +390,59 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
     forced columns 0 and 1, which the m all-zero rows and every handed-back
     prefix do.
 
-    With `chunk` set, the run stops when its node counter reaches `chunk`
-    and `rest` hands back the rest of its subtree as prefixes in DFS order:
-    first the node it did not enter, then the untried rows of each frame
-    from the deepest to the shallowest, each passed by the same capacity
-    and Hall checks as before a recursion.  Running the chunk and then each
-    prefix of `rest` in order visits exactly the nodes of one unchunked run.
-    The budget and the interval share one `stop_at`; a budget that falls
-    at the interval stops the run.
-
     Every row is placed cell by cell along the trie of `_tables`: placing
     symbol s reads its capacity indices from the node of the row's partial
     prefix, undoing the cell reads the same tuple, and a complete row reads
     its recheck rule set from its leaf.  The prefix rows are placed once,
     in one loop before the DFS; a cell without room ends the run with no
-    node.  The DFS serves the free rows: each checks and places its forced
-    cells (colcap 0, colcap 1 and block (0, 1)) once per frame and branches
-    from column 2.
+    node.  The prefix is checked against every Hall rule, so the run is
+    exact for any prefix; each complete row after it is checked only
+    against its leaf's recheck set (`_recheck_rules`, filtered by `_hall`).
 
-    The prefix is checked against every Hall rule, so the run is exact for
-    any prefix; each complete row after it is checked only against its
-    leaf's recheck set (`_recheck_rules`).
+    The DFS is one loop, without recursion, over the stack of free rows
+    grid[start_r:r + 1].  Each free row gets once per run its forced cells
+    (colcap 0, colcap 1 and block (0, 1)), which each visit of its node
+    places once, and its own `path` and `tight` lists, whose entry 2 the
+    forced columns fix; its cells branch from column 2.  `c` is the loop's
+    state: at c == k it enters the node of row r; for 2 <= c < k it moves
+    cell c of row r to its next symbol with room; at c < 2 row r is done
+    and the loop goes back to the last cell of row r - 1.  The last cell
+    checks each complete row against its leaf's recheck set at once, so a
+    rejected row costs no trip round the loop.
+
+    With `chunk` set, the run stops entering nodes when its node counter
+    reaches `chunk`, and `rest` hands back the rest of its subtree as
+    prefixes in DFS order.  First comes the node it did not enter.  A flag
+    then turns each further node the loop would enter into a hand-back: as
+    the loop unwinds, each open row hands back its untried rows, from the
+    deepest row to the shallowest, each passed by the same capacity and
+    Hall checks as before entering a node.  Running the chunk and then
+    each prefix of `rest` in order visits exactly the nodes of one
+    unchunked run.  The budget and the interval share one `stop_at`; a
+    budget that falls at the interval stops the run.
     """
-    out = {"status": EXHAUSTED, "nodes": 0, "witness": None, "solutions": 0, "rest": []}
+    rest = []
+    out = {"status": EXHAUSTED, "nodes": 0, "witness": None, "solutions": 0, "rest": rest}
     stop = _stop_flag
     if stop is not None and stop.value:
         return dict(out, status=BUDGET_EXCEEDED)
     N = lam * n * n
     lns = lam * n
-    pidx, rules, root = tables or _tables(n, k)
+    (pidx, shared, full), _, root = tables or _tables(n, k)
     stop_at = node_budget
     if chunk is not None and (stop_at is None or chunk < stop_at):
         stop_at = chunk
-    # One capacity list: the pair blocks, then colcap[c][s] at cc + c*n + s.
-    # Sorted rows force columns 0 and 1 as functions of the row index, so
-    # before row r, block (0, 1) counts the rows >= r with forced pair
-    # (s0, s1): the Hall rules read only live capacities, no per-row tables.
+    # One capacity list: the pair blocks, then colcap[c][s] of the forced
+    # columns c = 0, 1 at cc + c*n + s, then the constants 0 and 1 that
+    # `full` reads.  Sorted rows force columns 0 and 1 as functions of the
+    # row index, so before row r, block (0, 1) counts the rows >= r with
+    # forced pair (s0, s1): the Hall rules read only live capacities, no
+    # per-row tables.
     cc = k * (k - 1) // 2 * n * n
-    cap = [lam] * cc + [lns] * (k * n)
+    cap = [lam] * cc + [lns] * (2 * n) + [0, 1]
     start_r = len(prefix)
 
     grid = [[0] * k for _ in range(N)]
-    rest = out["rest"]
     for row, want in zip(grid, prefix):
         node = root
         for c, s in enumerate(want):
@@ -375,75 +455,67 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
             row[c] = s
             child = node[n + s]
             if child is None:
-                child = node[n + s] = _node(n, k, pidx, rules, row, c + 1)
+                child = node[n + s] = _node(n, k, pidx, shared, row, c + 1)
             node = child
-    if start_r < N and not _hall(cap, rules):
+    if start_r < N and not _hall(cap, full):
         return out
 
-    def dfs(r):
-        if out["nodes"] == stop_at:
-            if stop_at == node_budget:
-                raise _Stop
-            rest.append(tuple(map(tuple, grid[:r])))
-            raise _Split
-        if stop is not None and stop.value:
-            raise _Stop
-        if deadline is not None and not out["nodes"] & 1023:
-            if time.monotonic() > deadline:
-                raise _Stop
-        out["nodes"] += 1
-        if r == N:
-            out["solutions"] += 1
-            if out["witness"] is None:
-                out["witness"] = [tuple(row) for row in grid]
-            return
+    # Per free row r: (row, prev, path, tight, fixed) with prev the row
+    # above, path[c] the trie node of row[:c], tight[c] whether
+    # row[:c] == prev[:c], and fixed its forced cells.  row[c] is -1 for
+    # every cell c >= 2 that holds no symbol.
+    frames = [None] * N
+    for r in range(start_r, N):
         row = grid[r]
-        prev = grid[r - 1] if r > 0 else None
-        # path[c]: the trie node of row[:c]; tight[c]: row[:c] == prev[:c]
-        path = [None] * (k + 1)
-        tight = [False] * (k + 1)
+        prev = grid[r - 1]
         s0 = r // lns
         s1 = (r % lns) // lam
-        row[0] = s0
-        row[1] = s1
+        row[:] = [s0, s1] + [-1] * (k - 2)
         one = root[n + s0]
         if one is None:
-            one = root[n + s0] = _node(n, k, pidx, rules, row, 1)
-        fixed = root[s0] + one[s1]
-        for o in fixed:
-            if cap[o] <= 0:
-                return
-        for o in fixed:
-            cap[o] -= 1
+            one = root[n + s0] = _node(n, k, pidx, shared, row, 1)
         two = one[n + s1]
         if two is None:
-            two = one[n + s1] = _node(n, k, pidx, rules, row, 2)
-        path[2] = two
-        tight[2] = prev is not None and s0 == prev[0] and s1 == prev[1]
-        c = 2
+            two = one[n + s1] = _node(n, k, pidx, shared, row, 2)
+        path = [None, None, two] + [None] * (k - 2)
+        tight = [False, False, r > 0 and s0 == prev[0] and s1 == prev[1]] + [False] * (k - 2)
+        frames[r] = (row, prev, path, tight, root[s0] + one[s1])
+
+    hall = _hall
+    exists = mode == "exists"
+    last = k - 1
+    nodes = solutions = 0
+    witness = None
+    split = False
+    r = start_r
+    c = k
+    # The open row's frame; prev is only read while tight, never at row 0.
+    row = prev = path = tight = None
+    fixed = ()
+    while True:
         if c < k:
-            row[c] = -1
-        split = False
-        while True:
-            if c == k:
-                if _hall(cap, path[k]):
-                    if split:
-                        # rest[0] is the node not entered; its first r
-                        # rows are this frame's prefix
-                        rest.append(rest[0][:r] + (tuple(row),))
-                    else:
-                        try:
-                            dfs(r + 1)
-                        except _Split:
-                            split = True
-                if out["solutions"] and mode == "exists":
-                    return
+            if c < 2:
+                # row r is done: lift its forced cells and go back to the
+                # last cell of the row above
+                for o in fixed:
+                    cap[o] += 1
+                r -= 1
+                if r < start_r:
+                    break
+                row, prev, path, tight, fixed = frames[r]
+                c = last
+                continue
+            # cell c: lift its current symbol, then try each one below it
+            node = path[c]
+            s = row[c]
+            if s >= 0:
+                for o in node[s]:
+                    cap[o] += 1
+                s -= 1
             else:
-                node = path[c]
-                lo = prev[c] if tight[c] else 0
-                start = row[c] - 1 if row[c] >= 0 else n - 1
-                placed = False
-                for s in range(start, lo - 1, -1):
+                s = n - 1
+            if c < last:
+                for s in range(s, prev[c] - 1 if tight[c] else -1, -1):
                     ix = node[s]
                     for o in ix:
                         if cap[o] <= 0:
@@ -451,38 +523,90 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
                     else:
                         for o in ix:
                             cap[o] -= 1
-                        row[c] = s
-                        tight[c + 1] = tight[c] and s == prev[c]
-                        placed = True
                         break
-                if placed:
-                    child = node[n + s]
-                    if child is None:
-                        child = node[n + s] = _node(n, k, pidx, rules, row, c + 1)
-                    c += 1
-                    path[c] = child
-                    if c < k:
-                        row[c] = -1
+                else:
+                    row[c] = -1
+                    c -= 1
                     continue
+                row[c] = s
+                c += 1
+                tight[c] = tight[c - 1] and s == prev[c - 1]
+                child = node[n + s]
+                if child is None:
+                    child = node[n + s] = _node(n, k, pidx, shared, row, c)
+                path[c] = child
+                continue
+            # the last cell: each symbol with room completes the row, which
+            # must pass its leaf's recheck set
+            for s in range(s, prev[c] - 1 if tight[c] else -1, -1):
+                ix = node[s]
+                for o in ix:
+                    if cap[o] <= 0:
+                        break
+                else:
+                    for o in ix:
+                        cap[o] -= 1
+                    row[c] = s
+                    leaf = node[n + s]
+                    if leaf is None:
+                        leaf = node[n + s] = _node(n, k, pidx, shared, row, k)
+                    if hall(cap, leaf):
+                        if not split:
+                            break
+                        # rest[0] is the node not entered; its first r
+                        # rows are the rows above this one
+                        rest.append(rest[0][:r] + (tuple(row),))
+                    for o in ix:
+                        cap[o] += 1
+            else:
                 row[c] = -1
-            c -= 1
-            if c < 2:
-                break
-            for o in path[c][row[c]]:
-                cap[o] += 1
-        for o in fixed:
-            cap[o] += 1
-        if split:
-            raise _Split
+                c -= 1
+                continue
+            r += 1
+            c = k
+            continue
+        # c == k: enter the node of row r, below complete rows
+        if nodes == stop_at and stop_at != node_budget:
+            # the chunk ends: this node goes back first, and from here on
+            # the last cells hand back each row they would have entered
+            rest.append(tuple(map(tuple, grid[:r])))
+            split = True
+        elif (
+            nodes == stop_at
+            or (stop is not None and stop.value)
+            or (deadline is not None and not nodes & 1023 and time.monotonic() > deadline)
+        ):
+            return dict(out, status=BUDGET_EXCEEDED, nodes=nodes)
+        else:
+            nodes += 1
+            if r == N:
+                solutions += 1
+                if witness is None:
+                    witness = [tuple(row) for row in grid]
+                if exists:
+                    break
+            else:
+                row, prev, path, tight, fixed = frames[r]
+                for o in fixed:
+                    if cap[o] <= 0:
+                        break
+                else:
+                    for o in fixed:
+                        cap[o] -= 1
+                    if k > 2:
+                        c = 2
+                    elif hall(cap, path[2]):
+                        # two columns: the forced cells complete the row
+                        r += 1
+                    else:
+                        c = 1
+                    continue
+        # no row placed at r: go back to the row above, with nothing to lift
+        fixed = ()
+        c = 1
 
-    try:
-        dfs(start_r)
-    except _Stop:
-        return dict(out, status=BUDGET_EXCEEDED, witness=None, solutions=0, rest=[])
-    except _Split:
-        pass
-    out["status"] = FOUND if out["witness"] is not None else EXHAUSTED
-    return out
+    status = FOUND if witness is not None else EXHAUSTED
+    return dict(out, status=status, nodes=nodes, witness=witness, solutions=solutions)
 
 
 def _pool_size(workers, tasks):

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import multiprocessing
 import os
@@ -508,6 +509,26 @@ def test_pool_stop_flag_stops_a_subtree_at_its_next_node(monkeypatch, reads, nod
     assert (raw["status"], raw["nodes"], raw["witness"]) == ("budget-exceeded", nodes, None)
 
 
+def test_kernel_runs_leave_no_reference_cycle():
+    # A kernel run's grid, capacities and trie must go when it returns, not
+    # wait for the cyclic collector: a count run, a chunked run that hands
+    # back and a run stopped by its node budget leave nothing unreachable.
+    gc.collect()
+    gc.disable()
+    try:
+        raw = search_module._kernel(3, 3, 3, (), "count", None, None)
+        assert (raw["nodes"], raw["solutions"]) == (21466, 847)
+        raw = search_module._kernel(2, 8, 1, (), "count", None, None)
+        assert raw["status"] == "exhausted-no-solution"
+        raw = search_module._kernel(2, 4, 3, (), "count", None, None, None, 5)
+        assert raw["nodes"] == 5 and raw["rest"]
+        raw = search_module._kernel(3, 5, 3, ((0,) * 5,) * 3, "exists", 100, None)
+        assert (raw["status"], raw["nodes"]) == ("budget-exceeded", 100)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_passed_wall_budget_stops_at_once(workers):
     result = search_oa(SearchProblem(2, 4, 3, wall_budget=0.0), workers=workers)
@@ -604,6 +625,51 @@ def test_recheck_rules_match_the_scan_on_every_row(n, k):
         picked = search_module._recheck_rules(n, k, rules, row)
         assert picked == scanned_recheck(n, k, rules, row)
         assert len(picked) == len(search_module._families(k)) * 2 * (n - 1)
+
+
+def trie_leaves(node, n, k, row=()):
+    """Every leaf of a row-prefix trie, as {row: leaf}."""
+    if len(row) == k:
+        return {row: node}
+    leaves = {}
+    for s in range(n):
+        if node[n + s] is not None:
+            leaves.update(trie_leaves(node[n + s], n, k, row + (s,)))
+    return leaves
+
+
+@pytest.mark.parametrize("n,k,lam", [(2, 5, 2), (3, 4, 1), (2, 6, 3)])
+def test_leaves_share_their_rules_per_family(n, k, lam):
+    # A leaf is its row's recheck set, each rule (d, pairs) as (lowered,
+    # other, d, rest): `lowered` is the cell of term row[1] that the row
+    # lowered, `other` the term's second cell, `rest` the other terms.
+    # Within family (a, b) the rules depend on row[1], row[a] and row[b]
+    # alone, and rows that agree there hold the same rule objects.
+    tables = search_module._tables(n, k)
+    _, rules, root = tables
+    search_module._kernel(n, k, lam, (), "count", None, None, tables)
+    leaves = trie_leaves(root, n, k)
+    assert len(leaves) > n**3
+    pidx, _, _ = reference_tables(n, k, 1)
+    families = search_module._families(k)
+    width = 2 * (n - 1)
+    for row, leaf in leaves.items():
+        low = {pidx[a][c] * n * n + row[a] * n + row[c] for c in range(k) for a in range(c)}
+        plain = search_module._recheck_rules(n, k, rules, row)
+        assert len(leaf) == len(plain) == len(families) * width
+        for (lowered, other, d, rest), (d_plain, pairs) in zip(leaf, plain):
+            assert d == d_plain and lowered in low and other not in low
+            term = pairs[row[1]]
+            assert term in ((lowered, other), (other, lowered))
+            assert rest == pairs[: row[1]] + pairs[row[1] + 1 :]
+    shared = 0
+    for (row, leaf), (other_row, other_leaf) in itertools.combinations(leaves.items(), 2):
+        for f, (a, b) in enumerate(families):
+            part = slice(f * width, (f + 1) * width)
+            if (row[1], row[a], row[b]) == (other_row[1], other_row[a], other_row[b]):
+                assert all(x is y for x, y in zip(leaf[part], other_leaf[part]))
+                shared += 1
+    assert shared > 0
 
 
 def reference_hall(n, k, lam, r_next, cap):
@@ -753,6 +819,57 @@ SWEEP = [
 def test_hall_matches_reference_on_small_parameters(monkeypatch, n, k, lam, m):
     result, verdicts = differential_search(monkeypatch, n, k, lam, m=m, mode="count")
     assert len(verdicts) >= result.nodes_explored
+
+
+class ReadCounter(list):
+    """A capacity list that counts the reads of chosen indices."""
+
+    def __init__(self, cap, watched):
+        super().__init__(cap)
+        self.watched = watched
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += i in self.watched
+        return super().__getitem__(i)
+
+
+def test_hall_filter_is_exact_and_skips_rules(monkeypatch):
+    # Every call of `_hall` on the SWEEP cases is judged again without the
+    # filter: the leaf's rules are mapped back to its `_recheck_rules` set,
+    # or to the whole table for the prefix check, and each plain rule
+    # (d, pairs) is summed.  The filtered verdict must agree.  A passing
+    # leaf call must take the sum (read cap[d]) on exactly the rules whose
+    # lowered cell is now below the other one, and over the sweep those
+    # must be fewer than the leaves hold (with lambda = 1 they are not).
+    real = search_module._hall
+    counts = {"calls": 0, "held": 0, "summed": 0}
+    for n, k, lam, m in SWEEP:
+        _, rules, _ = search_module._tables(n, k)
+        plain = {tuple(d for d, _ in rules): rules}
+        for row in itertools.product(range(n), repeat=k):
+            recheck = search_module._recheck_rules(n, k, rules, row)
+            plain[tuple(d for d, _ in recheck)] = recheck
+
+        def checked(cap, leaf):
+            table = plain[tuple(d for _, _, d, _ in leaf)]
+            exact = all(cap[d] <= sum(min(cap[x], cap[y]) for x, y in pairs) for d, pairs in table)
+            spy = ReadCounter(cap, {d for d, _ in table})
+            verdict = real(spy, leaf)
+            assert verdict == exact
+            if table is not rules and verdict:
+                passing = sum(cap[lowered] < cap[other] for lowered, other, _, _ in leaf)
+                assert spy.reads == passing
+                counts["calls"] += 1
+                counts["held"] += len(leaf)
+                counts["summed"] += spy.reads
+            return verdict
+
+        monkeypatch.setattr(search_module, "_hall", checked)
+        result = search_oa(SearchProblem(n, k, lam, m=m, mode="count"))
+        assert result.nodes_explored > 0
+    assert counts["calls"] > 1000
+    assert counts["summed"] < counts["held"]
 
 
 # Wide arrays under a node budget: many column pairs, so many distinct
