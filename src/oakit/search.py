@@ -9,9 +9,13 @@ once, then its cells branch from column 2.  The DFS is one loop over an
 explicit stack of free rows, with no recursion.  The pinned rows are
 placed whole before the DFS starts and are not search nodes.  One list of
 remaining capacities drives the pruning: the symbol-pair capacities of
-every column pair, then the symbol capacities (colcap) of the forced
-columns 0 and 1.  Every ordered symbol pair in every column pair must
-be used exactly lambda times, a capacity may never go negative, and a
+every column pair, then the symbol capacities (colcap) of column 0 alone.
+colcap[c][s] would be the sum of the cells at s of block (0, c), or of
+block (0, 1) for c = 0, none of them negative, so the block's own cell
+check rejects every row the colcap would.  Column 0's stays as the count
+of rows still to come in each of its blocks, which the differential tests
+read.  Every ordered symbol pair in every column pair must be used
+exactly lambda times, a capacity may never go negative, and a
 Hall-type availability argument discards rows whose remaining demand
 cannot be met.  That argument is one flat table of rules, built once per
 search run, each demanding cap[d] <= sum(min(cap[x], cap[y])) over fixed
@@ -180,14 +184,14 @@ def _worker(conn, flag, tables, chunk):
 def _tables(n, k):
     """The trie's layout, the Hall rule table and the root of an empty trie.
 
-    The layout is (pidx, shared, full).  pidx[a][b] numbers the column pairs
-    a < b, `shared` holds the recheck rules of each family for each
-    (row[1], row[a], row[b]) in the form `_hall` reads (`_shared_rules`),
-    and `full` is the whole rule table in that form, each rule with a
-    filter it always passes and all n terms to sum.  Nothing here depends
-    on lambda, the prefix or the budgets, so one search run builds these
-    once; `_kernel` grows the trie as it places rows, and it lives as long
-    as the tables: one run, or one worker's life.
+    The layout is (pidx, families, shared, full).  pidx[a][b] numbers the
+    column pairs a < b, `families` is `_families(k)`, `shared` holds the
+    recheck rules of each family for each (row[1], row[a], row[b]) in the
+    form `_hall` reads (`_shared_rules`), and `full` is the whole rule
+    table in that form, each rule (d, pairs) as (z, d, d, pairs).  Nothing
+    here depends on lambda, the prefix or the budgets, so one search run
+    builds these once; `_kernel` grows the trie as it places rows, and it
+    lives as long as the tables: one run, or one worker's life.
     """
     pidx = [[0] * k for _ in range(k)]
     npairs = 0
@@ -195,36 +199,36 @@ def _tables(n, k):
         for b in range(a + 1, k):
             pidx[a][b] = npairs
             npairs += 1
-    rules = _hall_rules(n, k, pidx)
-    shared = _shared_rules(n, k, rules)
-    # the kernel keeps cap[z] = 0 and cap[z + 1] = 1 after colcap, so each
-    # rule of `full` passes the filter and then sums every term
-    z = npairs * n * n + 2 * n
-    full = tuple([(z, z + 1, d, pairs) for d, pairs in rules])
-    return (pidx, shared, full), rules, _node(n, k, pidx, shared, (), 0)
+    families = _families(k)
+    rules = _hall_rules(n, pidx, families)
+    # the kernel keeps cap[z] = 0 after column 0's colcap
+    z = npairs * n * n + n
+    full = tuple([(z, d, d, pairs) for d, pairs in rules])
+    layout = (pidx, families, _shared_rules(n, rules), full)
+    return layout, rules, _node(n, k, layout, (), 0)
 
 
-def _node(n, k, pidx, shared, row, c):
+def _node(n, k, layout, row, c):
     """The trie node of the partial row row[:c].
 
     Below c == k it is a list: for each symbol s, the indices in the
-    capacity list that s takes in column c (colcap first if c < 2, then the
-    (a, c) blocks at row[a]), then n child slots, filled on first use.
-    Columns from 2 on keep no colcap: colcap[c][s] would be the sum of
-    block (0, c)'s cells at s, and the block's cell is checked.  At c == k
-    it is the leaf: the recheck rule set of the complete row, as the
-    entries of `shared` for its families, in table order.
+    capacity list that s takes in column c (colcap first if c == 0, the
+    only column that keeps one, then the (a, c) blocks at row[a]), then n
+    child slots, filled on first use.  At c == k it is the leaf: the
+    recheck rule set of the complete row, as the entries of `shared` for
+    its families, in table order.
     """
+    pidx, families, shared, _ = layout
     if c == k:
         return tuple(
             [
                 rule
-                for f, (a, b) in enumerate(_families(k))
+                for f, (a, b) in enumerate(families)
                 for rule in shared[((f * n + row[1]) * n + row[a]) * n + row[b]]
             ]
         )
     n2 = n * n
-    base = [k * (k - 1) // 2 * n2 + c * n] if c < 2 else []
+    base = [k * (k - 1) // 2 * n2] if c == 0 else []
     base += [pidx[a][c] * n2 + row[a] * n for a in range(c)]
     return [tuple([o + s for o in base]) for s in range(n)] + [None] * n
 
@@ -241,14 +245,14 @@ def _families(k):
     return inner + [(0, b) for b in range(2, k)]
 
 
-def _hall_rules(n, k, pidx):
+def _hall_rules(n, pidx, families):
     """The Hall-type availability rules, as one flat table.
 
     A rule (d, ((x, y), ...)) holds when cap[d] <= sum(min(cap[x], cap[y])).
     Each remaining demand cap[(a,b)][sa][sb] with b >= 2 and a != 1 must fit
     through column 1: a row with (sa, sb) in (a, b) takes some symbol s in
     column 1, which needs room in both (1, a) and (1, b).  Family f = (a, b)
-    of `_families` holds rules f*n*n .. f*n*n + n*n - 1, one per demand
+    of `families` holds rules f*n*n .. f*n*n + n*n - 1, one per demand
     (sa, sb) in that order.
 
     `_hall` is only called on complete rows, and there two kinds of rules
@@ -275,26 +279,14 @@ def _hall_rules(n, k, pidx):
             cell(a, b, sa, sb),
             tuple((cell(1, a, s, sa), cell(1, b, s, sb)) for s in range(n)),
         )
-        for a, b in _families(k)
+        for a, b in families
         for sa in range(n)
         for sb in range(n)
     )
 
 
-def _cross(n):
-    """cross[ra*n + rb]: the offsets sa*n + sb within a family of the
-    demands with (sa == ra) != (sb == rb), in table order."""
-    return [
-        [sa * n + rb for sa in range(ra)]
-        + [ra * n + sb for sb in range(n) if sb != rb]
-        + [sa * n + rb for sa in range(ra + 1, n)]
-        for ra in range(n)
-        for rb in range(n)
-    ]
-
-
-def _recheck_rules(n, k, rules, row):
-    """The rules the complete row `row` can break, in table order.
+def _shared_rules(n, rules):
+    """Each family's recheck rules per (row[1], row[a], row[b]), as `_hall` reads them.
 
     The state before a row passed every rule, and a row lowers exactly one
     cell per column-pair block.  A rule's slack
@@ -303,45 +295,34 @@ def _recheck_rules(n, k, rules, row):
     such terms than lowered demands still holds.  In family (a, b) with
     demand d = (a, b, sa, sb) only the term s = row[1] can be touched: its
     x is lowered iff sa == row[a], its y iff sb == row[b], and when both
-    are, d is lowered too.  The rules to recheck are thus those with
-    (sa == row[a]) != (sb == row[b]): 2(n-1) of each family's n*n.  This
-    is the plain form of a leaf; the kernel reads the same rules, in the
-    same order, in the form `_shared_rules` gives them.
-    """
-    n2 = n * n
-    cross = _cross(n)
-    return tuple(
-        [
-            rules[f * n2 + i]
-            for f, (a, b) in enumerate(_families(k))
-            for i in cross[row[a] * n + row[b]]
-        ]
-    )
-
-
-def _shared_rules(n, k, rules):
-    """Each family's recheck rules per (row[1], row[a], row[b]), as `_hall` reads them.
+    are, d is lowered too.  The rules the row can break are thus those with
+    (sa == row[a]) != (sb == row[b]): 2(n-1) of each family's n*n.
 
     Entry ((f*n + s)*n + ra)*n + rb is, for a row with s, ra and rb in
-    columns 1, a and b of family f = (a, b), that family's part of
-    `_recheck_rules`, each rule (d, pairs) as (lowered, other, d, rest).
-    The one term the row touches is s = row[1] (see `_recheck_rules`): its
-    cell x = (1, a, s, sa) is lowered when sa == ra, its y = (1, b, s, sb)
+    columns 1, a and b of family f = (a, b), those rules in table order,
+    each rule (d, pairs) as (lowered, other, d, rest): the term s has its
+    cell x = (1, a, s, sa) lowered when sa == ra, its y = (1, b, s, sb)
     otherwise, `other` is the term's second cell, and `rest` holds the
     other n - 1 terms of pairs.  A leaf concatenates the entries of its
     families, so rows that agree in columns 1, a and b share each rule
     object of family (a, b).
     """
     n2 = n * n
-    cross = _cross(n)
+    # cross[ra*n + rb]: the offsets sa*n + sb within a family of the demands
+    # with (sa == ra) != (sb == rb), in table order
+    cross = [
+        [i for i in range(n2) if (i // n == ra) != (i % n == rb)]
+        for ra in range(n)
+        for rb in range(n)
+    ]
     shared = []
-    for f in range(len(_families(k))):
+    for start in range(0, len(rules), n2):
         for s in range(n):
             for ra in range(n):
                 for rb in range(n):
                     entry = []
                     for i in cross[ra * n + rb]:
-                        d, pairs = rules[f * n2 + i]
+                        d, pairs = rules[start + i]
                         x, y = pairs[s]
                         rest = pairs[:s] + pairs[s + 1 :]
                         entry.append((x, y, d, rest) if i // n == ra else (y, x, d, rest))
@@ -362,8 +343,9 @@ def _hall(cap, rules):
     one and left d and the terms of `rest` alone, so the right side fell,
     by one, only if min(cap[lowered], cap[other]) fell, that is if
     cap[lowered] < cap[other] now.  A rule that fails the filter still
-    holds.  The rules of `full` read the constant cells 0 and 1 as their
-    first term, so each of them is evaluated over all its terms.
+    holds.  A rule (z, d, d, pairs) of `full` reads cap[z] = 0 as its
+    first term, so it passes the filter exactly when cap[d] > 0, the only
+    case in which it can fail, and is then summed over all n terms.
     """
     for lowered, other, d, rest in rules:
         x = cap[lowered]
@@ -397,18 +379,18 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
     in one loop before the DFS; a cell without room ends the run with no
     node.  The prefix is checked against every Hall rule, so the run is
     exact for any prefix; each complete row after it is checked only
-    against its leaf's recheck set (`_recheck_rules`, filtered by `_hall`).
+    against its leaf's recheck set (`_shared_rules`, filtered by `_hall`).
 
     The DFS is one loop, without recursion, over the stack of free rows
     grid[start_r:r + 1].  Each free row gets once per run its forced cells
-    (colcap 0, colcap 1 and block (0, 1)), which each visit of its node
-    places once, and its own `path` and `tight` lists, whose entry 2 the
-    forced columns fix; its cells branch from column 2.  `c` is the loop's
-    state: at c == k it enters the node of row r; for 2 <= c < k it moves
-    cell c of row r to its next symbol with room; at c < 2 row r is done
-    and the loop goes back to the last cell of row r - 1.  The last cell
-    checks each complete row against its leaf's recheck set at once, so a
-    rejected row costs no trip round the loop.
+    (colcap 0 and block (0, 1)), which each visit of its node places once,
+    and its own `path` and `tight` lists, whose entry 2 the forced columns
+    fix; its cells branch from column 2.  `c` is the loop's state: at c == k
+    it enters the node of row r; for 2 <= c < k it moves cell c of row r to
+    its next symbol with room; at c < 2 row r is done and the loop goes back
+    to the last cell of row r - 1.  The last cell checks each complete row
+    against its leaf's recheck set at once, so a rejected row costs no trip
+    round the loop.
 
     With `chunk` set, the run stops entering nodes when its node counter
     reaches `chunk`, and `rest` hands back the rest of its subtree as
@@ -428,18 +410,17 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
         return dict(out, status=BUDGET_EXCEEDED)
     N = lam * n * n
     lns = lam * n
-    (pidx, shared, full), _, root = tables or _tables(n, k)
+    layout, _, root = tables or _tables(n, k)
     stop_at = node_budget
     if chunk is not None and (stop_at is None or chunk < stop_at):
         stop_at = chunk
-    # One capacity list: the pair blocks, then colcap[c][s] of the forced
-    # columns c = 0, 1 at cc + c*n + s, then the constants 0 and 1 that
-    # `full` reads.  Sorted rows force columns 0 and 1 as functions of the
-    # row index, so before row r, block (0, 1) counts the rows >= r with
-    # forced pair (s0, s1): the Hall rules read only live capacities, no
-    # per-row tables.
+    # One capacity list: the pair blocks, then colcap[0][s] at cc + s, then
+    # the constant 0 that `full` reads.  Sorted rows force columns 0 and 1
+    # as functions of the row index, so before row r, block (0, 1) counts
+    # the rows >= r with forced pair (s0, s1): the Hall rules read only
+    # live capacities, no per-row tables.
     cc = k * (k - 1) // 2 * n * n
-    cap = [lam] * cc + [lns] * (2 * n) + [0, 1]
+    cap = [lam] * cc + [lns] * n + [0]
     start_r = len(prefix)
 
     grid = [[0] * k for _ in range(N)]
@@ -455,9 +436,9 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
             row[c] = s
             child = node[n + s]
             if child is None:
-                child = node[n + s] = _node(n, k, pidx, shared, row, c + 1)
+                child = node[n + s] = _node(n, k, layout, row, c + 1)
             node = child
-    if start_r < N and not _hall(cap, full):
+    if start_r < N and not _hall(cap, layout[3]):
         return out
 
     # Per free row r: (row, prev, path, tight, fixed) with prev the row
@@ -473,10 +454,10 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
         row[:] = [s0, s1] + [-1] * (k - 2)
         one = root[n + s0]
         if one is None:
-            one = root[n + s0] = _node(n, k, pidx, shared, row, 1)
+            one = root[n + s0] = _node(n, k, layout, row, 1)
         two = one[n + s1]
         if two is None:
-            two = one[n + s1] = _node(n, k, pidx, shared, row, 2)
+            two = one[n + s1] = _node(n, k, layout, row, 2)
         path = [None, None, two] + [None] * (k - 2)
         tight = [False, False, r > 0 and s0 == prev[0] and s1 == prev[1]] + [False] * (k - 2)
         frames[r] = (row, prev, path, tight, root[s0] + one[s1])
@@ -533,7 +514,7 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
                 tight[c] = tight[c - 1] and s == prev[c - 1]
                 child = node[n + s]
                 if child is None:
-                    child = node[n + s] = _node(n, k, pidx, shared, row, c)
+                    child = node[n + s] = _node(n, k, layout, row, c)
                 path[c] = child
                 continue
             # the last cell: each symbol with room completes the row, which
@@ -549,7 +530,7 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
                     row[c] = s
                     leaf = node[n + s]
                     if leaf is None:
-                        leaf = node[n + s] = _node(n, k, pidx, shared, row, k)
+                        leaf = node[n + s] = _node(n, k, layout, row, k)
                     if hall(cap, leaf):
                         if not split:
                             break
@@ -595,11 +576,9 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
                         cap[o] -= 1
                     if k > 2:
                         c = 2
-                    elif hall(cap, path[2]):
-                        # two columns: the forced cells complete the row
-                        r += 1
                     else:
-                        c = 1
+                        # two columns: no rule family, so the forced cells complete the row
+                        r += 1
                     continue
         # no row placed at r: go back to the row above, with nothing to lift
         fixed = ()

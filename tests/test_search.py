@@ -396,6 +396,30 @@ def test_kernel_places_a_whole_prefix_before_the_first_node():
     assert (raw["status"], raw["nodes"]) == ("exhausted-no-solution", 0)
 
 
+@pytest.mark.parametrize(
+    "n,k,lam,prefixes,overfilled",
+    [(2, 4, 1, 968, 592), (2, 3, 2, 1286, 272), (3, 3, 1, 31464, 4077)],
+)
+def test_a_prefix_that_overfills_a_column_is_no_node(n, k, lam, prefixes, overfilled):
+    # Only column 0 keeps a symbol capacity, which an over-filled column 0
+    # runs out of.  A prefix that puts a symbol s
+    # in column c > 0 more than lambda*n times puts it there with some
+    # column-0 symbol more than lambda times, by pigeonhole, so a cell of
+    # block (0, c) overflows and the prefix is no node.  Every sorted
+    # prefix of 1 to lambda*n + 1 rows is tried.
+    tables = search_module._tables(n, k)
+    rows = list(itertools.product(range(n), repeat=k))
+    seen = over = 0
+    for size in range(1, lam * n + 2):
+        for prefix in itertools.combinations_with_replacement(rows, size):
+            seen += 1
+            if any(max(map(column.count, column)) > lam * n for column in zip(*prefix)):
+                over += 1
+                raw = search_module._kernel(n, k, lam, prefix, "count", None, None, tables)
+                assert (raw["status"], raw["nodes"]) == ("exhausted-no-solution", 0)
+    assert (seen, over) == (prefixes, overfilled)
+
+
 def test_kernel_runs_share_one_trie():
     # The row-prefix trie of `_tables` depends on (n, k) alone: runs with
     # other lambdas, prefixes, modes and chunk intervals grow one shared
@@ -618,11 +642,23 @@ def scanned_recheck(n, k, rules, row):
     )
 
 
+def recheck_rules(n, k, rules, row):
+    """The rules the complete row `row` can break, in table order: in each
+    family (a, b), the demands (sa, sb) with (sa == row[a]) != (sb == row[b])."""
+    return tuple(
+        rules[(f * n + sa) * n + sb]
+        for f, (a, b) in enumerate(search_module._families(k))
+        for sa in range(n)
+        for sb in range(n)
+        if (sa == row[a]) != (sb == row[b])
+    )
+
+
 @pytest.mark.parametrize("n,k", [(2, 4), (3, 4), (2, 7), (4, 3)])
 def test_recheck_rules_match_the_scan_on_every_row(n, k):
     _, rules, _ = search_module._tables(n, k)
     for row in itertools.product(range(n), repeat=k):
-        picked = search_module._recheck_rules(n, k, rules, row)
+        picked = recheck_rules(n, k, rules, row)
         assert picked == scanned_recheck(n, k, rules, row)
         assert len(picked) == len(search_module._families(k)) * 2 * (n - 1)
 
@@ -655,7 +691,7 @@ def test_leaves_share_their_rules_per_family(n, k, lam):
     width = 2 * (n - 1)
     for row, leaf in leaves.items():
         low = {pidx[a][c] * n * n + row[a] * n + row[c] for c in range(k) for a in range(c)}
-        plain = search_module._recheck_rules(n, k, rules, row)
+        plain = recheck_rules(n, k, rules, row)
         assert len(leaf) == len(plain) == len(families) * width
         for (lowered, other, d, rest), (d_plain, pairs) in zip(leaf, plain):
             assert d == d_plain and lowered in low and other not in low
@@ -848,7 +884,7 @@ def test_hall_filter_is_exact_and_skips_rules(monkeypatch):
         _, rules, _ = search_module._tables(n, k)
         plain = {tuple(d for d, _ in rules): rules}
         for row in itertools.product(range(n), repeat=k):
-            recheck = search_module._recheck_rules(n, k, rules, row)
+            recheck = recheck_rules(n, k, rules, row)
             plain[tuple(d for d, _ in recheck)] = recheck
 
         def checked(cap, leaf):
