@@ -4,29 +4,26 @@ The search enumerates arrays whose rows are in nondecreasing lexicographic
 order (one representative per row multiset), with an optional forced
 multiplicity m that pins the first m rows to all-zeros.  Sorting makes the
 first two columns a function of the row index alone, so only cells from
-column 2 on branch: a free row checks and places its three forced cells
-once, then its cells branch from column 2.  The DFS is one loop over an
-explicit stack of free rows, with no recursion.  The pinned rows are
+column 2 on branch: a free row checks and places its forced cell of block
+(0, 1) once, then its cells branch from column 2.  The DFS is one loop over
+an explicit stack of free rows, with no recursion.  The pinned rows are
 placed whole before the DFS starts and are not search nodes.  One list of
 remaining capacities drives the pruning: the symbol-pair capacities of
-every column pair, then the symbol capacities (colcap) of column 0 alone.
-colcap[c][s] would be the sum of the cells at s of block (0, c), or of
-block (0, 1) for c = 0, none of them negative, so the block's own cell
-check rejects every row the colcap would.  Column 0's stays as the count
-of rows still to come in each of its blocks, which the differential tests
-read.  Every ordered symbol pair in every column pair must be used
-exactly lambda times, a capacity may never go negative, and a
+every column pair.  No column keeps a symbol capacity (colcap): colcap[c][s]
+would be the sum of the cells at s of block (0, c), or of block (0, 1) for
+c = 0, none of them negative, so the block's own cell check rejects every
+row the colcap would.  Every ordered symbol pair in every column pair must
+be used exactly lambda times, a capacity may never go negative, and a
 Hall-type availability argument discards rows whose remaining demand
-cannot be met.  That argument is one flat table of rules, built once per
-search run, each demanding cap[d] <= sum(min(cap[x], cap[y])) over fixed
-index pairs: each remaining demand in a column pair (a, b) with b >= 2 and
-a != 1 must fit through column 1.  Because columns 0 and 1 are forced, the
-rows still to come with the pair (s0, s1) in those columns number
-cap[(0,1)][s0][s1], so the rules read only live capacities.  No rule
-compares a demand with a column capacity or routes it through column 0: on
-a complete row such a rule always holds (`_hall_rules` shows why).  The
-state before a row passed every rule, so after placing the row only the
-rules it can break are rechecked: in family (a, b), those whose demand
+cannot be met.  Its rules each demand cap[d] <= sum(min(cap[x], cap[y]))
+over fixed index pairs: each remaining demand in a column pair (a, b) with
+b >= 2 and a != 1 must fit through column 1.  Because columns 0 and 1 are
+forced, the rows still to come with the pair (s0, s1) in those columns
+number cap[(0,1)][s0][s1], so the rules read only live capacities.  No
+rule compares a demand with a symbol count or routes it through column 0:
+on a complete row such a rule always holds (`_family_rules` shows why).
+Every rule holds before the first row, so after placing a row only the
+rules it can break are checked: in family (a, b), those whose demand
 (sa, sb) matches the row in exactly one of columns a and b, 2(n-1) of the
 n*n rules per family.  Such a rule reads the row's cells in one term only,
 and one of that term's two cells went down by one, so its sum can only
@@ -38,7 +35,8 @@ in one trie of row prefixes, grown lazily for the whole run (in each worker
 process apart): the node of a partial row holds the capacity indices that
 each symbol takes in the next column, and the leaf of a complete row is its
 recheck rule set.  A leaf is a tuple of references to rule objects built
-once per family and (row[1], row[a], row[b]), which rows share.
+on first use, once per family and (row[1], row[a], row[b]), which rows
+share.  No rule is built before the first node.
 
 `maximize_stages` runs the exists-search at each forced multiplicity from
 the counting bound's floor down; `oracle_max_multiplicity` and the CLI's
@@ -182,16 +180,16 @@ def _worker(conn, flag, tables, chunk):
 
 
 def _tables(n, k):
-    """The trie's layout, the Hall rule table and the root of an empty trie.
+    """The trie's layout and the root of an empty trie.
 
-    The layout is (pidx, families, shared, full).  pidx[a][b] numbers the
-    column pairs a < b, `families` is `_families(k)`, `shared` holds the
-    recheck rules of each family for each (row[1], row[a], row[b]) in the
-    form `_hall` reads (`_shared_rules`), and `full` is the whole rule
-    table in that form, each rule (d, pairs) as (z, d, d, pairs).  Nothing
-    here depends on lambda, the prefix or the budgets, so one search run
-    builds these once; `_kernel` grows the trie as it places rows, and it
-    lives as long as the tables: one run, or one worker's life.
+    The layout is (pidx, families, shared).  pidx[a][b] numbers the column
+    pairs a < b, `families` is `_families(k)`, and `shared` has one slot per
+    family f and (row[1], row[a], row[b]), at ((f*n + row[1])*n + row[a])*n
+    + row[b], for that family's recheck rules (`_family_rules`), which
+    `_node` builds when a leaf first needs them.  Nothing here depends on
+    lambda, the prefix or the budgets, so one search run builds these once;
+    `_kernel` grows the trie and fills `shared` as it places rows, and both
+    live as long as the tables: one run, or one worker's life.
     """
     pidx = [[0] * k for _ in range(k)]
     npairs = 0
@@ -200,41 +198,36 @@ def _tables(n, k):
             pidx[a][b] = npairs
             npairs += 1
     families = _families(k)
-    rules = _hall_rules(n, pidx, families)
-    # the kernel keeps cap[z] = 0 after column 0's colcap
-    z = npairs * n * n + n
-    full = tuple([(z, d, d, pairs) for d, pairs in rules])
-    layout = (pidx, families, _shared_rules(n, rules), full)
-    return layout, rules, _node(n, k, layout, (), 0)
+    layout = (pidx, families, [None] * (len(families) * n**3))
+    return layout, _node(n, k, layout, (), 0)
 
 
 def _node(n, k, layout, row, c):
     """The trie node of the partial row row[:c].
 
     Below c == k it is a list: for each symbol s, the indices in the
-    capacity list that s takes in column c (colcap first if c == 0, the
-    only column that keeps one, then the (a, c) blocks at row[a]), then n
-    child slots, filled on first use.  At c == k it is the leaf: the
-    recheck rule set of the complete row, as the entries of `shared` for
-    its families, in table order.
+    capacity list that s takes in column c (the (a, c) blocks at row[a]),
+    then n child slots, filled on first use.  At c == k it is the leaf: the
+    recheck rule set of the complete row, as the `shared` entries of its
+    families in family order, each built on first use.
     """
-    pidx, families, shared, _ = layout
+    pidx, families, shared = layout
     if c == k:
-        return tuple(
-            [
-                rule
-                for f, (a, b) in enumerate(families)
-                for rule in shared[((f * n + row[1]) * n + row[a]) * n + row[b]]
-            ]
-        )
+        leaf = []
+        for f, (a, b) in enumerate(families):
+            i = ((f * n + row[1]) * n + row[a]) * n + row[b]
+            rules = shared[i]
+            if rules is None:
+                rules = shared[i] = _family_rules(n, pidx, a, b, row[1], row[a], row[b])
+            leaf += rules
+        return tuple(leaf)
     n2 = n * n
-    base = [k * (k - 1) // 2 * n2] if c == 0 else []
-    base += [pidx[a][c] * n2 + row[a] * n for a in range(c)]
+    base = [pidx[a][c] * n2 + row[a] * n for a in range(c)]
     return [tuple([o + s for o in base]) for s in range(n)] + [None] * n
 
 
 def _families(k):
-    """The rule families (a, b) in the order of `_hall_rules`' table.
+    """The rule families (a, b), in the order a leaf holds them.
 
     Each family routes the demands of column pair (a, b) through column 1:
     the inner (a, b >= 2) families first, because nearly every rejection
@@ -245,21 +238,22 @@ def _families(k):
     return inner + [(0, b) for b in range(2, k)]
 
 
-def _hall_rules(n, pidx, families):
-    """The Hall-type availability rules, as one flat table.
+def _family_rules(n, pidx, a, b, s, ra, rb):
+    """The Hall rules of family (a, b) that a row with s, ra, rb in columns 1, a, b can break.
 
-    A rule (d, ((x, y), ...)) holds when cap[d] <= sum(min(cap[x], cap[y])).
-    Each remaining demand cap[(a,b)][sa][sb] with b >= 2 and a != 1 must fit
-    through column 1: a row with (sa, sb) in (a, b) takes some symbol s in
-    column 1, which needs room in both (1, a) and (1, b).  Family f = (a, b)
-    of `families` holds rules f*n*n .. f*n*n + n*n - 1, one per demand
-    (sa, sb) in that order.
+    A Hall rule (d, ((x, y), ...)) holds when cap[d] <= sum(min(cap[x],
+    cap[y])).  Each remaining demand d = cap[(a,b)][sa][sb] with b >= 2 and
+    a != 1 must fit through column 1: a row with (sa, sb) in (a, b) takes
+    some symbol t in column 1, which needs room in both (1, a) and (1, b),
+    so family (a, b) has one rule per demand (sa, sb), with the term
+    (cap[(1,a)][t][sa], cap[(1,b)][t][sb]) for each t.
 
     `_hall` is only called on complete rows, and there two kinds of rules
-    could never fail, so the table leaves them out:
+    could never fail, so no family has them:
 
-    - A bound on cap[(0,b)][s0][sb] by colcap[0][s0]: colcap[0][s0] equals
-      the sum of cap[(0,b)][s0][.] and no capacity is negative.
+    - A bound on cap[(0,b)][s0][sb] by the rows still to come with s0 in
+      column 0: that count is the sum of cap[(0,b)][s0][.], and no capacity
+      is negative.
     - A demand routed through column 0.  Sorted rows make column 0 the block
       index r // (lambda*n).  After a row of block s0, every cell of a block
       (0, x) is 0 for s < s0 and lambda for s > s0, and a demand is at most
@@ -267,67 +261,36 @@ def _hall_rules(n, pidx, families):
       s0 = n - 1, the one live term reads cap[(0,a)][n-1][sa], the rows
       still to come with sa in column a, which is the sum of
       cap[(a,b)][sa][.] and so at least the demand; likewise for b.
+
+    A row lowers exactly one cell per column-pair block.  A rule's slack
+    sum(min(cap[x], cap[y])) - cap[d] loses at most one per term that reads
+    a lowered cell and gains one if d was lowered.  In family (a, b) only
+    the term t = s can be touched: its x is lowered iff sa == ra, its y iff
+    sb == rb, and when both are, d is lowered too.  So no rule's slack ever
+    rises, and a rule that held before the row can only fail after it if
+    (sa == ra) != (sb == rb): 2(n-1) of the family's n*n rules.
+
+    Those rules come in the order of their demands, each as (lowered,
+    other, d, rest): the term s has its cell x lowered when sa == ra, its y
+    otherwise, `other` is the term's second cell, and `rest` holds the
+    other n - 1 terms.
     """
+    n2 = n * n
 
     def cell(a, b, sa, sb):
         if a > b:
             a, b, sa, sb = b, a, sb, sa
-        return pidx[a][b] * n * n + sa * n + sb
+        return pidx[a][b] * n2 + sa * n + sb
 
-    return tuple(
-        (
-            cell(a, b, sa, sb),
-            tuple((cell(1, a, s, sa), cell(1, b, s, sb)) for s in range(n)),
-        )
-        for a, b in families
-        for sa in range(n)
-        for sb in range(n)
-    )
-
-
-def _shared_rules(n, rules):
-    """Each family's recheck rules per (row[1], row[a], row[b]), as `_hall` reads them.
-
-    The state before a row passed every rule, and a row lowers exactly one
-    cell per column-pair block.  A rule's slack
-    sum(min(cap[x], cap[y])) - cap[d] loses at most one per term that reads
-    a lowered cell and gains one if d was lowered, so a rule with no more
-    such terms than lowered demands still holds.  In family (a, b) with
-    demand d = (a, b, sa, sb) only the term s = row[1] can be touched: its
-    x is lowered iff sa == row[a], its y iff sb == row[b], and when both
-    are, d is lowered too.  The rules the row can break are thus those with
-    (sa == row[a]) != (sb == row[b]): 2(n-1) of each family's n*n.
-
-    Entry ((f*n + s)*n + ra)*n + rb is, for a row with s, ra and rb in
-    columns 1, a and b of family f = (a, b), those rules in table order,
-    each rule (d, pairs) as (lowered, other, d, rest): the term s has its
-    cell x = (1, a, s, sa) lowered when sa == ra, its y = (1, b, s, sb)
-    otherwise, `other` is the term's second cell, and `rest` holds the
-    other n - 1 terms of pairs.  A leaf concatenates the entries of its
-    families, so rows that agree in columns 1, a and b share each rule
-    object of family (a, b).
-    """
-    n2 = n * n
-    # cross[ra*n + rb]: the offsets sa*n + sb within a family of the demands
-    # with (sa == ra) != (sb == rb), in table order
-    cross = [
-        [i for i in range(n2) if (i // n == ra) != (i % n == rb)]
-        for ra in range(n)
-        for rb in range(n)
-    ]
-    shared = []
-    for start in range(0, len(rules), n2):
-        for s in range(n):
-            for ra in range(n):
-                for rb in range(n):
-                    entry = []
-                    for i in cross[ra * n + rb]:
-                        d, pairs = rules[start + i]
-                        x, y = pairs[s]
-                        rest = pairs[:s] + pairs[s + 1 :]
-                        entry.append((x, y, d, rest) if i // n == ra else (y, x, d, rest))
-                    shared.append(tuple(entry))
-    return shared
+    rules = []
+    for sa in range(n):
+        for sb in range(n):
+            if (sa == ra) != (sb == rb):
+                rest = [(cell(1, a, t, sa), cell(1, b, t, sb)) for t in range(n)]
+                x, y = rest.pop(s)
+                d = cell(a, b, sa, sb)
+                rules.append((x, y, d, tuple(rest)) if sa == ra else (y, x, d, tuple(rest)))
+    return tuple(rules)
 
 
 def _hall(cap, rules):
@@ -338,14 +301,12 @@ def _hall(cap, rules):
     the terms (x, y) of `rest`.  It is only evaluated when
     cap[lowered] < cap[other], and then its first term is cap[lowered].
 
-    On a leaf's recheck set (`_shared_rules`) that filter is exact.  Every
+    On a leaf's recheck set (`_family_rules`) that filter is exact.  Every
     rule held before the row was placed.  The row lowered cell `lowered` by
     one and left d and the terms of `rest` alone, so the right side fell,
     by one, only if min(cap[lowered], cap[other]) fell, that is if
     cap[lowered] < cap[other] now.  A rule that fails the filter still
-    holds.  A rule (z, d, d, pairs) of `full` reads cap[z] = 0 as its
-    first term, so it passes the filter exactly when cap[d] > 0, the only
-    case in which it can fail, and is then summed over all n terms.
+    holds.
     """
     for lowered, other, d, rest in rules:
         x = cap[lowered]
@@ -377,15 +338,18 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
     prefix, undoing the cell reads the same tuple, and a complete row reads
     its recheck rule set from its leaf.  The prefix rows are placed once,
     in one loop before the DFS; a cell without room ends the run with no
-    node.  The prefix is checked against every Hall rule, so the run is
-    exact for any prefix; each complete row after it is checked only
-    against its leaf's recheck set (`_shared_rules`, filtered by `_hall`).
+    node.  Each complete row, prefix rows too, is checked against its
+    leaf's recheck set (`_family_rules`, filtered by `_hall`) as it is
+    placed.  That is exact for any prefix: every rule holds before the
+    first row, and no rule's slack rises when a row is placed, so the state
+    after the prefix breaks a rule exactly when some prefix row's check is
+    the first to fail.
 
     The DFS is one loop, without recursion, over the stack of free rows
-    grid[start_r:r + 1].  Each free row gets once per run its forced cells
-    (colcap 0 and block (0, 1)), which each visit of its node places once,
-    and its own `path` and `tight` lists, whose entry 2 the forced columns
-    fix; its cells branch from column 2.  `c` is the loop's state: at c == k
+    grid[start_r:r + 1].  Each free row gets once per run its forced cell
+    of block (0, 1), which each visit of its node places once, and its own
+    `path` and `tight` lists, whose entry 2 the forced columns fix; its
+    cells branch from column 2.  `c` is the loop's state: at c == k
     it enters the node of row r; for 2 <= c < k it moves cell c of row r to
     its next symbol with room; at c < 2 row r is done and the loop goes back
     to the last cell of row r - 1.  The last cell checks each complete row
@@ -410,17 +374,15 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
         return dict(out, status=BUDGET_EXCEEDED)
     N = lam * n * n
     lns = lam * n
-    layout, _, root = tables or _tables(n, k)
+    layout, root = tables or _tables(n, k)
     stop_at = node_budget
     if chunk is not None and (stop_at is None or chunk < stop_at):
         stop_at = chunk
-    # One capacity list: the pair blocks, then colcap[0][s] at cc + s, then
-    # the constant 0 that `full` reads.  Sorted rows force columns 0 and 1
-    # as functions of the row index, so before row r, block (0, 1) counts
+    # One capacity list: the pair blocks.  Sorted rows force columns 0 and
+    # 1 as functions of the row index, so before row r, block (0, 1) counts
     # the rows >= r with forced pair (s0, s1): the Hall rules read only
     # live capacities, no per-row tables.
-    cc = k * (k - 1) // 2 * n * n
-    cap = [lam] * cc + [lns] * n + [0]
+    cap = [lam] * (k * (k - 1) // 2 * n * n)
     start_r = len(prefix)
 
     grid = [[0] * k for _ in range(N)]
@@ -438,12 +400,12 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
             if child is None:
                 child = node[n + s] = _node(n, k, layout, row, c + 1)
             node = child
-    if start_r < N and not _hall(cap, layout[3]):
-        return out
+        if not _hall(cap, node):
+            return out
 
     # Per free row r: (row, prev, path, tight, fixed) with prev the row
     # above, path[c] the trie node of row[:c], tight[c] whether
-    # row[:c] == prev[:c], and fixed its forced cells.  row[c] is -1 for
+    # row[:c] == prev[:c], and fixed its forced cell.  row[c] is -1 for
     # every cell c >= 2 that holds no symbol.
     frames = [None] * N
     for r in range(start_r, N):
@@ -460,7 +422,7 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
             two = one[n + s1] = _node(n, k, layout, row, 2)
         path = [None, None, two] + [None] * (k - 2)
         tight = [False, False, r > 0 and s0 == prev[0] and s1 == prev[1]] + [False] * (k - 2)
-        frames[r] = (row, prev, path, tight, root[s0] + one[s1])
+        frames[r] = (row, prev, path, tight, one[s1])
 
     hall = _hall
     exists = mode == "exists"
@@ -476,7 +438,7 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
     while True:
         if c < k:
             if c < 2:
-                # row r is done: lift its forced cells and go back to the
+                # row r is done: lift its forced cell and go back to the
                 # last cell of the row above
                 for o in fixed:
                     cap[o] += 1
@@ -577,7 +539,7 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
                     if k > 2:
                         c = 2
                     else:
-                        # two columns: no rule family, so the forced cells complete the row
+                        # two columns: no rule family, so the forced cell completes the row
                         r += 1
                     continue
         # no row placed at r: go back to the row above, with nothing to lift

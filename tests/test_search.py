@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -401,12 +402,11 @@ def test_kernel_places_a_whole_prefix_before_the_first_node():
     [(2, 4, 1, 968, 592), (2, 3, 2, 1286, 272), (3, 3, 1, 31464, 4077)],
 )
 def test_a_prefix_that_overfills_a_column_is_no_node(n, k, lam, prefixes, overfilled):
-    # Only column 0 keeps a symbol capacity, which an over-filled column 0
-    # runs out of.  A prefix that puts a symbol s
-    # in column c > 0 more than lambda*n times puts it there with some
-    # column-0 symbol more than lambda times, by pigeonhole, so a cell of
-    # block (0, c) overflows and the prefix is no node.  Every sorted
-    # prefix of 1 to lambda*n + 1 rows is tried.
+    # No column keeps a symbol capacity.  A prefix that puts a symbol s in
+    # column c more than lambda*n times puts it there with some column-0
+    # symbol more than lambda times, by pigeonhole, so a cell of block
+    # (0, c), or of block (0, 1) for c = 0, overflows and the prefix is no
+    # node.  Every sorted prefix of 1 to lambda*n + 1 rows is tried.
     tables = search_module._tables(n, k)
     rows = list(itertools.product(range(n), repeat=k))
     seen = over = 0
@@ -418,6 +418,40 @@ def test_a_prefix_that_overfills_a_column_is_no_node(n, k, lam, prefixes, overfi
                 raw = search_module._kernel(n, k, lam, prefix, "count", None, None, tables)
                 assert (raw["status"], raw["nodes"]) == ("exhausted-no-solution", 0)
     assert (seen, over) == (prefixes, overfilled)
+
+
+@pytest.mark.parametrize(
+    "n,k,lam,most,prefixes,broken", [(2, 4, 1, 3, 8, 4), (2, 4, 2, 5, 66, 8), (2, 5, 2, 5, 336, 52)]
+)
+def test_the_prefix_check_is_exact_for_any_prefix(n, k, lam, most, prefixes, broken):
+    # Each prefix row is checked against its own leaf as it is placed.  No
+    # rule's slack rises when a row is placed, so a prefix run ends with no
+    # node exactly when the state after the whole prefix breaks a rule of
+    # the whole table.  Every sorted prefix of 1 to `most` rows that carries
+    # the forced columns 0 and 1 and fits every capacity is tried.
+    pidx, _, _ = reference_tables(n, k, lam)
+    rules = hall_rules(n, k)
+    tables = search_module._tables(n, k)
+    rows = list(itertools.product(range(n), repeat=k))
+    seen = bad = 0
+    for size in range(1, most + 1):
+        forced = [(r // (lam * n), (r % (lam * n)) // lam) for r in range(size)]
+        for prefix in itertools.product(*[[row for row in rows if row[:2] == f] for f in forced]):
+            if list(prefix) != sorted(prefix):
+                continue
+            cap = [lam] * (k * (k - 1) // 2 * n * n)
+            for row in prefix:
+                for c in range(k):
+                    for a in range(c):
+                        cap[pidx[a][c] * n * n + row[a] * n + row[c]] -= 1
+            if min(cap) < 0:
+                continue
+            seen += 1
+            breaks = any(cap[d] > sum(min(cap[x], cap[y]) for x, y in pairs) for d, pairs in rules)
+            bad += breaks
+            raw = search_module._kernel(n, k, lam, prefix, "exists", 0, None, tables)
+            assert (raw["status"] == "exhausted-no-solution") == breaks
+    assert (seen, bad) == (prefixes, broken)
 
 
 def test_kernel_runs_share_one_trie():
@@ -533,6 +567,19 @@ def test_pool_stop_flag_stops_a_subtree_at_its_next_node(monkeypatch, reads, nod
     assert (raw["status"], raw["nodes"], raw["witness"]) == ("budget-exceeded", nodes, None)
 
 
+def test_a_zero_budget_run_builds_no_rule():
+    # The Hall rules are built when a leaf first needs them, so the setup
+    # before the first node stays small at any width.
+    tracemalloc.start()
+    try:
+        raw = search_module._kernel(2, 240, 1, (), "exists", 0, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (raw["status"], raw["nodes"]) == ("budget-exceeded", 0)
+    assert peak < 16 * 2**20
+
+
 def test_kernel_runs_leave_no_reference_cycle():
     # A kernel run's grid, capacities and trie must go when it returns, not
     # wait for the cyclic collector: a count run, a chunked run that hands
@@ -630,6 +677,27 @@ def reference_tables(n, k, lam):
     return pidx, avail0, slots2
 
 
+def hall_rules(n, k):
+    """The whole Hall rule table by its definition, in family order: for
+    each family (a, b) and demand (sa, sb), the rule (d, ((x, y), ...))
+    that routes the demand through column 1, to hold when
+    cap[d] <= sum(min(cap[x], cap[y]))."""
+    pidx, _, _ = reference_tables(n, k, 1)
+    n2 = n * n
+
+    def cell(a, b, sa, sb):
+        if a > b:
+            a, b, sa, sb = b, a, sb, sa
+        return pidx[a][b] * n2 + sa * n + sb
+
+    return tuple(
+        (cell(a, b, sa, sb), tuple((cell(1, a, s, sa), cell(1, b, s, sb)) for s in range(n)))
+        for a, b in search_module._families(k)
+        for sa in range(n)
+        for sb in range(n)
+    )
+
+
 def scanned_recheck(n, k, rules, row):
     """The recheck set by its definition: a scan of the whole rule table for
     the rules with more terms reading a lowered cell than lowered demands."""
@@ -656,7 +724,7 @@ def recheck_rules(n, k, rules, row):
 
 @pytest.mark.parametrize("n,k", [(2, 4), (3, 4), (2, 7), (4, 3)])
 def test_recheck_rules_match_the_scan_on_every_row(n, k):
-    _, rules, _ = search_module._tables(n, k)
+    rules = hall_rules(n, k)
     for row in itertools.product(range(n), repeat=k):
         picked = recheck_rules(n, k, rules, row)
         assert picked == scanned_recheck(n, k, rules, row)
@@ -681,13 +749,20 @@ def test_leaves_share_their_rules_per_family(n, k, lam):
     # lowered, `other` the term's second cell, `rest` the other terms.
     # Within family (a, b) the rules depend on row[1], row[a] and row[b]
     # alone, and rows that agree there hold the same rule objects.
+    # The `shared` slots filled are exactly those of the grown leaves.
     tables = search_module._tables(n, k)
-    _, rules, root = tables
+    (_, families, slots), root = tables
+    rules = hall_rules(n, k)
     search_module._kernel(n, k, lam, (), "count", None, None, tables)
     leaves = trie_leaves(root, n, k)
     assert len(leaves) > n**3
+    filled = {i for i, entry in enumerate(slots) if entry is not None}
+    assert filled == {
+        ((f * n + row[1]) * n + row[a]) * n + row[b]
+        for row in leaves
+        for f, (a, b) in enumerate(families)
+    }
     pidx, _, _ = reference_tables(n, k, 1)
-    families = search_module._families(k)
     width = 2 * (n - 1)
     for row, leaf in leaves.items():
         low = {pidx[a][c] * n * n + row[a] * n + row[c] for c in range(k) for a in range(c)}
@@ -795,22 +870,22 @@ def reference_hall(n, k, lam, r_next, cap):
 def differential_search(monkeypatch, n, k, lam, **options):
     """Run a search checking every Hall verdict against the reference.
 
-    The kernel keeps colcap after the pair blocks in its capacity list.
-    The row about to be placed is the number of rows already placed, read
-    from column 0's remaining capacities; at that row, colcap of column 0
-    and the (0, 1) block must equal the original availability tables.
+    The kernel's capacity list is the pair blocks, block (0, 1) first.  The
+    row about to be placed is the number of rows already placed, read from
+    the sum of block (0, 1); at that row, the block and its row sums,
+    column 0's availability, must equal the original availability tables.
     """
     N = lam * n * n
-    col0 = k * (k - 1) // 2 * n * n
     _, avail0, slots2 = reference_tables(n, k, lam)
     real = search_module._hall
     verdicts = []
 
     def checked(cap, rules):
         verdict = real(cap, rules)
-        r_next = N - sum(cap[col0 : col0 + n])
-        assert cap[col0 : col0 + n] == avail0[r_next]
-        assert cap[: n * n] == slots2[r_next]
+        block = cap[: n * n]
+        r_next = N - sum(block)
+        assert [sum(block[s * n : s * n + n]) for s in range(n)] == avail0[r_next]
+        assert block == slots2[r_next]
         assert verdict == reference_hall(n, k, lam, r_next, cap)
         verdicts.append(verdict)
         return verdict
@@ -823,8 +898,8 @@ def differential_search(monkeypatch, n, k, lam, **options):
 @pytest.mark.parametrize(
     "m,status,nodes,calls,rejections",
     [
-        (2, "found", 11614, 34341, 22727),
-        (3, "exhausted-no-solution", 15149, 67429, 52280),
+        (2, "found", 11614, 34342, 22727),
+        (3, "exhausted-no-solution", 15149, 67431, 52280),
     ],
 )
 def test_hall_matches_reference_on_pinned_case(monkeypatch, m, status, nodes, calls, rejections):
@@ -854,7 +929,9 @@ SWEEP = [
 @pytest.mark.parametrize("n,k,lam,m", SWEEP)
 def test_hall_matches_reference_on_small_parameters(monkeypatch, n, k, lam, m):
     result, verdicts = differential_search(monkeypatch, n, k, lam, m=m, mode="count")
-    assert len(verdicts) >= result.nodes_explored
+    # every node but the root follows a passing leaf check, and so does
+    # each of the m prefix rows
+    assert verdicts.count(True) == result.nodes_explored - 1 + m
 
 
 class ReadCounter(list):
@@ -872,16 +949,16 @@ class ReadCounter(list):
 
 def test_hall_filter_is_exact_and_skips_rules(monkeypatch):
     # Every call of `_hall` on the SWEEP cases is judged again without the
-    # filter: the leaf's rules are mapped back to its `_recheck_rules` set,
-    # or to the whole table for the prefix check, and each plain rule
-    # (d, pairs) is summed.  The filtered verdict must agree.  A passing
-    # leaf call must take the sum (read cap[d]) on exactly the rules whose
-    # lowered cell is now below the other one, and over the sweep those
-    # must be fewer than the leaves hold (with lambda = 1 they are not).
+    # filter: the leaf's rules are mapped back to its `recheck_rules` set,
+    # and each plain rule (d, pairs) is summed.  The filtered verdict must
+    # agree.  A passing leaf call must take the sum (read cap[d]) on exactly
+    # the rules whose lowered cell is now below the other one, and over the
+    # sweep those must be fewer than the leaves hold (with lambda = 1 they
+    # are not).
     real = search_module._hall
     counts = {"calls": 0, "held": 0, "summed": 0}
     for n, k, lam, m in SWEEP:
-        _, rules, _ = search_module._tables(n, k)
+        rules = hall_rules(n, k)
         plain = {tuple(d for d, _ in rules): rules}
         for row in itertools.product(range(n), repeat=k):
             recheck = recheck_rules(n, k, rules, row)
@@ -952,7 +1029,7 @@ def test_rules_through_column_0_never_fail(monkeypatch, n, k, lam, options):
     pidx, _, _ = reference_tables(n, k, lam)
     dropped = column0_rules(n, k, pidx)
     assert len(dropped) == ((k - 2) * (k - 3) // 2 + (k - 2)) * n * n
-    assert len(search_module._tables(n, k)[1]) == len(dropped)
+    assert len(hall_rules(n, k)) == len(dropped)
     real = search_module._hall
 
     def hall(cap, rules):

@@ -50,3 +50,28 @@ def test_package_exports_the_union_of_the_module_lists():
     for module, names in lists.items():
         for name in names:
             assert getattr(oakit, name) is getattr(importlib.import_module(f"oakit.{module}"), name)
+
+
+def test_every_private_definition_is_used_in_the_package():
+    # code that only the tests call belongs in the tests: each private
+    # function or class the package defines is named somewhere in the
+    # package, by a name, an attribute or an import
+    defined = {}
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[node.name] = f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    private = [
+        where
+        for name, where in defined.items()
+        if name.startswith("_") and not name.endswith("__") and name not in used
+    ]
+    assert defined
+    assert private == []
