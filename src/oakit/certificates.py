@@ -454,9 +454,7 @@ class RootVectorFamily:
     """Exponent vectors whose pairwise hermitian products certify a bound.
 
     One length-N vector per (column, multiplier) pair plus the all-zeros
-    vector: entry i of vector (j, m) is m * array[i][j] mod n.  `weights`
-    gives each coordinate's multiplicity (all 1 for the plain family; the
-    merged coordinate of a shortened family carries weight m).
+    vector: entry i of vector (j, m) is m * array[i][j] mod n.
     """
 
     n: int
@@ -464,13 +462,18 @@ class RootVectorFamily:
     N: int
     labels: tuple
     vectors: tuple
-    weights: tuple
 
     def product(self, a, b):
-        """Hermitian product of vectors a and b: the weighted count of each exponent mod n."""
+        """Hermitian product of vectors a and b: entry e counts coordinates with u - v = e mod n.
+
+        >>> from oakit import generate_linear_oa
+        >>> family = root_vector_family(generate_linear_oa(2, 3))
+        >>> family.product(1, 2), family.product(1, 1)
+        ((2, 2), (4, 0))
+        """
         counts = [0] * self.n
-        for u, v, w in zip(self.vectors[a], self.vectors[b], self.weights):
-            counts[(u - v) % self.n] += w
+        for u, v in zip(self.vectors[a], self.vectors[b]):
+            counts[(u - v) % self.n] += 1
         return tuple(counts)
 
 
@@ -488,14 +491,12 @@ def root_vector_family(array):
         for mult in range(1, n):
             labels.append(f"{mult}C{j + 1}")
             vectors.append(tuple((mult * row[j]) % n for row in array.rows))
-    weights = tuple([1] * array.N)
-    return RootVectorFamily(n, k, array.N, tuple(labels), tuple(vectors), weights)
+    return RootVectorFamily(n, k, array.N, tuple(labels), tuple(vectors))
 
 
 def _orthogonality_report(family, method, implied_rhs, canonical, notes=()):
     n, k = family.n, family.k
     size = len(family.vectors)
-    total = sum(family.weights)
     # Residual of each distinct count tuple, kept for this call only: most
     # products share a few count vectors, and the memo never outlives the audit.
     residuals = {}
@@ -510,7 +511,7 @@ def _orthogonality_report(family, method, implied_rhs, canonical, notes=()):
     for a in range(size):
         reduced = reduce(family.product(a, a))
         label = f"self@{family.labels[a]}"
-        checks.append(Check(label, _fmt_poly(reduced), str(total), reduced == (total,)))
+        checks.append(Check(label, _fmt_poly(reduced), str(family.N), reduced == (family.N,)))
     pair = residual = None
     for a, b in combinations(range(size), 2):
         reduced = reduce(family.product(a, b))
@@ -545,31 +546,22 @@ def orthogonality_certificate(family):
 
 
 def shortened_family_certificate(array, m):
-    """Orthogonality certificate after merging the m repeated coordinates.
+    """Orthogonality certificate of the roots family of the normalized array.
 
-    Normalizes so the m copies of a repeated row sit last; those m identical
-    coordinates of every vector are merged into a single coordinate of
-    integer weight m, which preserves every hermitian product exactly while
-    dropping the dimension to N-m+1.  Hence 1+k(n-1) <= N-m+1.  This route
-    only strengthens the bound additively; the counting argument's factor-m
-    bound m(k(n-1)+1) <= N is stronger for m >= 2.
+    Normalized, the m copies of the repeated row are m coordinates that are 0
+    in every vector.  They add m to each `counts[0]` as one merged coordinate
+    of weight m would, so the merged family, never built, has these products
+    in dimension N-m+1: 1+k(n-1) <= N-m+1.  Counting gives m(k(n-1)+1) <= N.
     """
     if m < 1:
         raise ValueError("multiplicity m must be at least 1")
-    normalized = normalize_repeated_row(array, m)
+    family = root_vector_family(normalize_repeated_row(array, m))
     n, k, N = array.n, array.k, array.N
-
-    base = root_vector_family(normalized)
-    vectors = tuple(v[: N - m] + (v[N - m],) for v in base.vectors)
-    weights = tuple([1] * (N - m) + [m])
-    family = RootVectorFamily(n, k, N, base.labels, vectors, weights)
     notes = (
         f"coordinate merging proves k(n-1)+m = {k * (n - 1) + m} <= N = {N}; "
         f"the counting bound sharpens this to m(k(n-1)+1) = {m * (k * (n - 1) + 1)} <= N",
     )
-    return _orthogonality_report(
-        family, "shortened", N - m + 1, (k * (n - 1) + m, N), notes
-    )
+    return _orthogonality_report(family, "shortened", N - m + 1, (k * (n - 1) + m, N), notes)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from oakit import (
     NotAnOA,
     OrthogonalArray,
     RankDeficient,
-    RootVectorFamily,
     TransversalDesign,
     WeightMismatch,
     check_span_equations,
@@ -29,6 +28,7 @@ from oakit import (
     incidence_matrix,
     integer_det,
     integer_rank,
+    normalize_repeated_row,
     normalize_to_row,
     orthogonality_certificate,
     rank_bound_certificate,
@@ -432,25 +432,44 @@ def test_shortened_family_certificate(stacked_parity, oa353_m2):
     assert any("sharpens" in note for note in report.notes)
 
 
-def test_merged_products_equal_unshortened(oa353_m2):
-    # Merging the m identical trailing coordinates with integer weight m must
-    # leave every hermitian product exactly unchanged, not merely zero/nonzero.
+def shift_cell(array, i, j):
+    """Add 1 mod n to cell (i, j): a one-cell forgery."""
+    rows = [list(r) for r in array.rows]
+    rows[i][j] = (rows[i][j] + 1) % array.n
+    return OrthogonalArray(array.n, array.k, tuple(tuple(r) for r in rows))
+
+
+def merged_product(family, m, a, b):
+    """The product of a and b with the last m coordinates merged into one of weight m."""
+    u, v, N = family.vectors[a], family.vectors[b], family.N
+    counts = [0] * family.n
+    for x, y, w in zip(u[: N - m + 1], v[: N - m + 1], [1] * (N - m) + [m]):
+        counts[(x - y) % family.n] += w
+    return tuple(counts)
+
+
+def audit_report(audit, *args):
+    """The audit's report, taken from its NonOrthogonal when it fails."""
+    try:
+        return audit(*args)
+    except NonOrthogonal as exc:
+        return exc.report
+
+
+@pytest.mark.parametrize("forged", [False, True], ids=["valid", "one-cell-forgery"])
+def test_shortened_audit_is_roots_audit_of_normalized_array(oa353_m2, forged):
+    # The normalized repeated row is 0 in every vector, so merging its m
+    # coordinates into one of weight m leaves every product exactly unchanged:
+    # the shortened audit need not build the merged family.
     m = 2
-    normalized = normalize_to_row(oa353_m2, 0)
-    base = root_vector_family(normalized)
-    N = normalized.N
-    merged = RootVectorFamily(
-        base.n,
-        base.k,
-        N,
-        base.labels,
-        tuple(v[: N - m] + (v[N - m],) for v in base.vectors),
-        tuple([1] * (N - m) + [m]),
-    )
-    for a, b in itertools.combinations_with_replacement(
-        range(len(base.vectors)), 2
-    ):
-        assert merged.product(a, b) == base.product(a, b)
+    array = shift_cell(oa353_m2, 5, 0) if forged else oa353_m2
+    family = root_vector_family(normalize_repeated_row(array, m))
+    for a, b in itertools.combinations_with_replacement(range(len(family.vectors)), 2):
+        assert merged_product(family, m, a, b) == family.product(a, b)
+    shortened = audit_report(shortened_family_certificate, array, m)
+    roots = audit_report(orthogonality_certificate, family)
+    assert shortened.checks == roots.checks
+    assert sum(not c.passed for c in shortened.checks) == (19 if forged else 0)
 
 
 def _count_reductions(monkeypatch):

@@ -95,7 +95,6 @@ def short_family():
             fam.N,
             tuple(fam.labels[i] for i in keep),
             tuple(fam.vectors[i] for i in keep),
-            fam.weights,
         )
     )
 

@@ -3,9 +3,9 @@
 `audit --method roots` and `audit --method shortened` must print, byte for
 byte, what `reference_lines` rebuilds from the array alone: every hermitian
 product counted by a plain zip loop over the coordinates and reduced with
-`reduce_root_sum`.  The reference never merges coordinates: the m copies of
-the repeated row stay m separate coordinates of weight 1, which must give
-the same products as the audit's one merged coordinate of weight m.
+`reduce_root_sum`.  For `shortened` the reference runs the same loop on the
+normalized array, where the m copies of the repeated row are m coordinates
+that are 0 in every vector; its implied bound is N - m + 1.
 """
 
 import contextlib
