@@ -101,9 +101,9 @@ class BlockDesign:
 class MultiplicityReport:
     """Census of a row (or block) multiset.
 
-    `counts` maps each distinct item to its multiplicity in first-occurrence
-    order; `witness_index` is the index of the first item achieving the
-    maximum.
+    `counts` is a `Counter` of each distinct item's multiplicity, in
+    first-occurrence order, so an item that does not occur counts 0;
+    `witness_index` is the index of the first item achieving the maximum.
     """
 
     counts: dict
@@ -140,9 +140,7 @@ def strength_lambda(array, t=2):
 
 
 def _census(items):
-    counts = {}
-    for item in items:
-        counts[item] = counts.get(item, 0) + 1
+    counts = Counter(items)
     best = max(counts.values())
     witness = next(i for i, item in enumerate(items) if counts[item] == best)
     return MultiplicityReport(counts, best, witness)

@@ -16,6 +16,7 @@ conclusions can be cross-checked for agreement.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .arrays import (
@@ -187,7 +188,6 @@ class VarianceAudit:
     sums: tuple
     abar: Fraction
     ssd: Fraction
-    implied_bound: Fraction
     equality_case: bool
     report: AuditReport
 
@@ -236,7 +236,7 @@ def variance_audit(array, m=1):
     )
     strength_lambda(array, 2)
     sums = ((sum_a, pred_a), (sum_pairs, pred_pairs), (sum_sq, pred_sq))
-    return VarianceAudit(m, counts, sums, abar, ssd, implied, equality, report)
+    return VarianceAudit(m, counts, sums, abar, ssd, equality, report)
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +294,15 @@ def to_transversal_design(array):
 def incidence_matrix(td):
     """(N+k) x nk incidence matrix: block rows first, then group rows."""
     nk = td.n * td.k
-    labels = []
-    rows = []
-    for i, block in enumerate(td.blocks):
+
+    def indicator(points):
         row = [0] * nk
-        for p in block:
+        for p in points:
             row[p] = 1
-        rows.append(tuple(row))
-        labels.append(("block", i))
-    for j, group in enumerate(td.groups):
-        row = [0] * nk
-        for p in group:
-            row[p] = 1
-        rows.append(tuple(row))
-        labels.append(("group", j))
+        return tuple(row)
+
+    labels = [("block", i) for i in range(td.N)] + [("group", j) for j in range(td.k)]
+    rows = [indicator(points) for points in (*td.blocks, *td.groups)]
     return IncidenceMatrix(td.n, td.k, td.lam, tuple(labels), tuple(rows))
 
 
@@ -329,12 +324,10 @@ def check_span_equations(td):
 
     checks = []
     points = {}
-    total_blocks = tuple(sum(col) for col in zip(*blocks))
-    expect1 = tuple([lam * n] * nk)
-    checks.append(Check("eq1", _fmt_vec(total_blocks), _fmt_vec(expect1), total_blocks == expect1))
-    total_groups = tuple(sum(col) for col in zip(*groups))
-    expect2 = tuple([1] * nk)
-    checks.append(Check("eq2", _fmt_vec(total_groups), _fmt_vec(expect2), total_groups == expect2))
+    for check_id, summed, value in (("eq1", blocks, lam * n), ("eq2", groups, 1)):
+        total = tuple(sum(col) for col in zip(*summed))
+        expect = (value,) * nk
+        checks.append(Check(check_id, _fmt_vec(total), _fmt_vec(expect), total == expect))
     for x in range(nk):
         lhs = [lam * g for g in groups[x // n]]
         for i in range(N):
@@ -499,13 +492,9 @@ def _orthogonality_report(family, method, implied_rhs, canonical, notes=()):
     size = len(family.vectors)
     # Residual of each distinct count tuple, kept for this call only: most
     # products share a few count vectors, and the memo never outlives the audit.
-    residuals = {}
-
+    @cache
     def reduce(counts):
-        residual = residuals.get(counts)
-        if residual is None:
-            residual = residuals[counts] = reduce_root_sum(counts, n)
-        return residual
+        return reduce_root_sum(counts, n)
 
     checks = [_eq_check("family-size", size, 1 + k * (n - 1))]
     for a in range(size):

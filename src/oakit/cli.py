@@ -190,15 +190,11 @@ def cmd_bounds(args):
         if any(x is not None for x in (args.t, args.k, args.n, args.lam, args.m)):
             raise _UsageError("--design cannot be combined with array parameters")
         params = _parse_design(args.design)
-        results = bibd_bounds(params)
-        lines = [
+        head = (
             f"design v={params.v} k={params.k} lambda={params.lam} b={params.b} "
             f"t={params.t} s={params.s} m={params.m}"
-        ]
-        lines.extend(_bound_line(r) for r in results)
-        _emit(lines)
-        violated = any(r.applicable and r.satisfied is False for r in results)
-        return 1 if violated else 0
+        )
+        return _bound_report([head], bibd_bounds(params))
 
     if args.t is None or args.k is None or args.n is None:
         raise _UsageError("need --t, --k and --n (or --design)")
@@ -223,12 +219,23 @@ def cmd_bounds(args):
     if m is not None:
         results.append(mqw_min_rows(t, k, n, m, lam))
 
-    lines = [_bound_line(r) for r in results]
-    if lam is not None and m is not None and lam * n * n > m:
-        lines.append(f"abar {_fmt(equality_abar(k, n, lam, m))}")
+    with_abar = lam is not None and m is not None and lam * n * n > m
+    return _bound_report([], results, equality_abar(k, n, lam, m) if with_abar else None)
+
+
+def _bound_report(lines, results, abar=None):
+    """Emit `lines`, a line per bound and the `abar` line; 1 if a bound is violated.
+
+    A value longer than `sys.get_int_max_str_digits()` digits is a usage error; nothing prints.
+    """
+    try:
+        lines = [*lines, *map(_bound_line, results)]
+        if abar is not None:
+            lines.append(f"abar {_fmt(abar)}")
+    except ValueError:
+        raise _UsageError(f"a bound has more than {sys.get_int_max_str_digits()} digits") from None
     _emit(lines)
-    violated = any(r.applicable and r.satisfied is False for r in results)
-    return 1 if violated else 0
+    return 1 if any(r.applicable and r.satisfied is False for r in results) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@ shares it.
 import os
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from multiprocessing import get_context
 
 from .arrays import OrthogonalArray, row_multiplicities, strength_lambda
@@ -192,11 +193,8 @@ def _tables(n, k):
     live as long as the tables: one run, or one worker's life.
     """
     pidx = [[0] * k for _ in range(k)]
-    npairs = 0
-    for a in range(k):
-        for b in range(a + 1, k):
-            pidx[a][b] = npairs
-            npairs += 1
+    for i, (a, b) in enumerate(combinations(range(k), 2)):
+        pidx[a][b] = i
     families = _families(k)
     layout = (pidx, families, [None] * (len(families) * n**3))
     return layout, _node(n, k, layout, (), 0)

@@ -165,6 +165,7 @@ def test_row_census(parity, stacked_parity):
     assert census.max_multiplicity == 2
     assert census.witness_index == 0
     assert all(c == 2 for c in census.counts.values())
+    assert list(census.counts) == list(dict.fromkeys(stacked_parity.rows))
 
 
 def test_census_witness_is_first_maximal(oa353_m2):

@@ -161,6 +161,22 @@ def test_incidence_matrix_shape(oa43):
     assert inc.row_labels[-1] == ("group", oa43.k - 1)
 
 
+@pytest.mark.parametrize("name", ["parity", "stacked_parity", "oa353_m2"])
+def test_incidence_matrix_matches_its_definition(request, name):
+    # Block row i has a 1 exactly at j*n + row_i[j], group row j exactly at
+    # j*n .. j*n + n - 1; block rows come first, each kind in index order.
+    array = request.getfixturevalue(name)
+    n, k, N = array.n, array.k, array.N
+    inc = incidence_matrix(to_transversal_design(array))
+    blocks = [{j * n + row[j] for j in range(k)} for row in array.rows]
+    groups = [set(range(j * n, j * n + n)) for j in range(k)]
+    expected = [tuple(int(p in ones) for p in range(n * k)) for ones in blocks + groups]
+    assert inc.matrix == tuple(expected)
+    assert inc.row_labels == tuple(("block", i) for i in range(N)) + tuple(
+        ("group", j) for j in range(k)
+    )
+
+
 def test_span_equations_pass(parity, oa43, oa242):
     for a in (parity, oa43, oa242):
         report = check_span_equations(to_transversal_design(a))

@@ -132,10 +132,24 @@ def test_bounds_doubled_design(capsys):
         ("bounds", "--design", "7,3,1,7,2,1,1", "--k", "5"),  # inconsistent
         ("bounds", "--t", "5", "--k", "3", "--n", "2"),  # t > k
         ("bounds", "--t", "2", "--k", "5", "--n", "3", "--lambda", "2", "--m", "3"),
+        # a value with more digits than str() converts at the default limit of 4300
+        ("bounds", "--design", "100000,3,1,7,4400,2200,1"),  # design bounds
+        ("bounds", "--t", "2", "--k", "1" + "0" * 2200, "--n", "1" + "0" * 2200),  # array bounds
+        ("bounds", "--t", "2", "--k", "7" * 2200, "--n", "3", "--lambda", "7" * 2200, "--m", "1"),
     ],
 )
 def test_bounds_usage_errors(capsys, argv):
-    assert run(capsys, *argv)[0] == 2
+    # in the last case only the abar value passes the limit; each bound value has ~2 200 digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code = main(list(argv))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("oakit: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +425,14 @@ def _command_line(draw):
         option("--strength", 2, 4)
     elif command == "bounds":
         if draw(st.integers(0, 3)) < 3:
+            # now and then --k, --n and --lambda are 10**2200, so a bound has more
+            # digits than str() converts at its default limit of 4300
+            huge = "1" + "0" * 2200 if rarely() else None
             for flag, low, top in (("--t", 2, 3), ("--k", 2, 9), ("--n", 2, 5)):
                 if not rarely():
-                    argv.extend([flag, value(low, top)])
-            option("--lambda", 1, 4)
+                    argv.extend([flag, huge if huge and flag != "--t" else value(low, top)])
+            if draw(st.booleans()):
+                argv.extend(["--lambda", huge or value(1, 4)])
             option("--m", 1, 4)
         if draw(st.integers(0, 2)) == 2:
             designs = ["7,3,1,7,2,1,1", "7,3,2,14,2,1,2", "7,3,1", "a,b,c,d,e,f,g", "7,3,1,7,2,1,-1"]
