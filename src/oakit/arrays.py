@@ -123,7 +123,10 @@ def strength_lambda(array, t=2):
     Returns the integer lambda = N / n**t after checking that within every
     t-subset of columns every ordered t-tuple occurs exactly lambda times.
     Raises NonintegralIndex when n**t does not divide N, and NotAnOA with the
-    offending column subset and tuple otherwise.
+    first offending column subset and tuple, in lexicographic order, otherwise.
+
+    A subset passes when its tuples take all n**t values, each lambda times;
+    only a failing subset is scanned tuple by tuple for the one to name.
     """
     if not 2 <= t <= array.k:
         raise ValueError("need 2 <= t <= k")
@@ -131,8 +134,11 @@ def strength_lambda(array, t=2):
     if array.N % denom:
         raise NonintegralIndex(array.N, array.n, t)
     lam = array.N // denom
+    columns = tuple(zip(*array.rows))
     for cols in combinations(range(array.k), t):
-        freq = Counter(tuple(row[c] for c in cols) for row in array.rows)
+        freq = Counter(zip(*(columns[c] for c in cols)))
+        if len(freq) == denom and set(freq.values()) == {lam}:
+            continue
         for tup in product(range(array.n), repeat=t):
             if freq[tup] != lam:
                 raise NotAnOA(cols, tup, freq[tup], lam)
@@ -166,20 +172,17 @@ def normalize_to_row(array, index):
     """
     if not 0 <= index < array.N:
         raise ValueError(f"row index {index} out of range")
-    target = array.rows[index]
 
-    def relabel(e, j):
-        if e == target[j]:
-            return 0
-        if e == 0:
-            return target[j]
-        return e
+    def swap(s):
+        table = list(range(array.n))
+        table[0], table[s] = s, 0
+        return table.__getitem__
 
-    rows = [tuple(relabel(e, j) for j, e in enumerate(row)) for row in array.rows]
+    columns = [map(swap(s), col) for s, col in zip(array.rows[index], zip(*array.rows))]
+    rows = list(zip(*columns))
     zero = tuple([0] * array.k)
     kept = [r for r in rows if r != zero]
-    moved = [r for r in rows if r == zero]
-    return OrthogonalArray(array.n, array.k, tuple(kept + moved))
+    return OrthogonalArray(array.n, array.k, tuple(kept) + (zero,) * (len(rows) - len(kept)))
 
 
 def normalize_repeated_row(array, m):
@@ -296,12 +299,12 @@ def _parse_grid(text, make, header, entry, line_noun, distinct=False):
         if len(parts) != width:
             raise FormatError(f"line {lineno}: expected {width} {entry}s, got {len(parts)}")
         try:
-            values = tuple(int(p) for p in parts)
+            values = tuple(map(int, parts))
         except ValueError:
             raise FormatError(f"line {lineno}: non-integer {entry}") from None
-        for e in values:
-            if not 0 <= e < size:
-                raise FormatError(f"line {lineno}: {entry} {e} outside 0..{size - 1}")
+        if not 0 <= min(values) <= max(values) < size:
+            e = next(e for e in values if not 0 <= e < size)
+            raise FormatError(f"line {lineno}: {entry} {e} outside 0..{size - 1}")
         if distinct and len(set(values)) != width:
             raise FormatError(f"line {lineno}: repeated {entry} in {line_noun}")
         grid.append(values)

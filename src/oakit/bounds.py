@@ -172,8 +172,12 @@ def equality_abar(k, n, lam, m):
 
 
 def _rao_value(t, k, n):
+    # term i is C(k,i)(n-1)^i; each follows from the last by an exact division
     s = t // 2
-    total = sum(math.comb(k, i) * (n - 1) ** i for i in range(s + 1))
+    total = term = 1
+    for i in range(s):
+        term = term * (k - i) * (n - 1) // (i + 1)
+        total += term
     if t % 2:
         total += math.comb(k - 1, s) * (n - 1) ** (s + 1)
     return total

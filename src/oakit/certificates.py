@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from operator import mul
 
 from .arrays import (
     normalize_repeated_row,
@@ -411,14 +412,15 @@ def gram_certificate(array):
             for b in points:
                 gram[a][b] += 1
 
-    def expected(p, q):
-        if p == q == nk:
-            return k * lam
-        return lam * (n + 1) if p == q else lam
-
-    mismatches = [
-        (p, q) for p in range(size) for q in range(size) if gram[p][q] != expected(p, q)
-    ]
+    # (p, q, got, expected) for each entry off lambda*J + diag(lambda*n, ..., (k-1)*lambda)
+    mismatches = []
+    for p, row in enumerate(gram):
+        expect = [lam] * size
+        expect[p] = k * lam if p == nk else lam * (n + 1)
+        if row != expect:
+            mismatches += [
+                (p, q, got, want) for q, (got, want) in enumerate(zip(row, expect)) if got != want
+            ]
     det = integer_det(
         [gram[0]] + [[a - b for a, b in zip(row, above)] for above, row in zip(gram, gram[1:])]
     )
@@ -431,8 +433,8 @@ def gram_certificate(array):
     def failure(check):
         if check.check_id == "det-positive":
             return NonpositiveDeterminant(f"Gram determinant {det} is not positive")
-        p, q = mismatches[0]
-        return LemmaViolated(f"Gram entry {(p, q)}: got {gram[p][q]}, expected {expected(p, q)}")
+        p, q, got, want = mismatches[0]
+        return LemmaViolated(f"Gram entry {(p, q)}: got {got}, expected {want}")
 
     return _require(report, failure)
 
@@ -480,10 +482,12 @@ def root_vector_family(array):
     n, k = array.n, array.k
     labels = ["C0"]
     vectors = [tuple([0] * array.N)]
-    for j in range(k):
-        for mult in range(1, n):
+    # times[mult - 1][s] is mult * s mod n
+    times = [[(mult * s) % n for s in range(n)] for mult in range(1, n)]
+    for j, column in enumerate(zip(*array.rows)):
+        for mult, table in enumerate(times, start=1):
             labels.append(f"{mult}C{j + 1}")
-            vectors.append(tuple((mult * row[j]) % n for row in array.rows))
+            vectors.append(tuple(map(table.__getitem__, column)))
     return RootVectorFamily(n, k, array.N, tuple(labels), tuple(vectors))
 
 
@@ -569,10 +573,9 @@ class ConstantWeightCodeFamily:
 
 
 def _cwc_vectors(array, m):
-    kept = rows_before_zero_tail(array, m)
-    return tuple(
-        tuple(1 if row[j] == 0 else 0 for row in kept) for j in range(array.k)
-    )
+    kept = len(rows_before_zero_tail(array, m))
+    indicator = (1,) + (0,) * (array.n - 1)  # symbol 0 -> 1, any other -> 0
+    return tuple(tuple(map(indicator.__getitem__, col[:kept])) for col in zip(*array.rows))
 
 
 def cwc_certificate(array, m=1):
@@ -600,7 +603,7 @@ def cwc_certificate(array, m=1):
     for j, vec in enumerate(vectors):
         checks.append(_eq_check(f"weight@{j + 1}", sum(vec), w))
     for a, b in combinations(range(k), 2):
-        ip = sum(x * y for x, y in zip(vectors[a], vectors[b]))
+        ip = sum(map(mul, vectors[a], vectors[b]))
         checks.append(_eq_check(f"ip@{a + 1},{b + 1}", ip, mu))
     margin = w * w - ell * mu
     checks.append(Check("johnson-hypothesis", str(margin), "0", margin > 0))

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,18 @@ def test_multiplicity_bound_inverts_index_bound(t, k, n, m):
     for lam in range(m, m + 4):
         allows = max_multiplicity(k, n, lam).value >= m
         assert allows == (rr_min_lambda(k, n, m).value <= lam)
+
+
+@pytest.mark.parametrize("t", range(2, 10))
+def test_rao_sum_matches_the_binomial_sum(t):
+    # the sum is built from term ratios; each term must be C(k,i)(n-1)^i exactly
+    s = t // 2
+    for k in range(t, 13):
+        for n in range(2, 6):
+            direct = sum(math.comb(k, i) * (n - 1) ** i for i in range(s + 1))
+            if t % 2:
+                direct += math.comb(k - 1, s) * (n - 1) ** (s + 1)
+            assert rao_min_rows(t, k, n).value == direct
 
 
 def test_strength_two_rao_is_plackett_burman_numerator():

@@ -136,10 +136,12 @@ def test_bounds_doubled_design(capsys):
         ("bounds", "--design", "100000,3,1,7,4400,2200,1"),  # design bounds
         ("bounds", "--t", "2", "--k", "1" + "0" * 2200, "--n", "1" + "0" * 2200),  # array bounds
         ("bounds", "--t", "2", "--k", "7" * 2200, "--n", "3", "--lambda", "7" * 2200, "--m", "1"),
+        # a Rao sum of 10 001 terms and ~9 000 digits, built term by term in well under a second
+        ("bounds", "--t", "20000", "--k", "20000", "--n", "3"),
     ],
 )
 def test_bounds_usage_errors(capsys, argv):
-    # in the last case only the abar value passes the limit; each bound value has ~2 200 digits
+    # in the abar case only the abar value passes the limit; each bound value has ~2 200 digits
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:

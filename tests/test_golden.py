@@ -9,7 +9,15 @@ import pathlib
 
 import pytest
 
-from oakit import FormatError, format_oa, generate_linear_oa, parse_bibd, parse_oa, stack
+from oakit import (
+    FormatError,
+    OrthogonalArray,
+    format_oa,
+    generate_linear_oa,
+    parse_bibd,
+    parse_oa,
+    stack,
+)
 from oakit.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -524,6 +532,11 @@ PARSE_CASES = [
     (parse_oa, "2 2\n0 a\n", "line 2: non-integer symbol"),
     (parse_oa, "2 2\n0 2\n", "line 2: symbol 2 outside 0..1"),
     (parse_oa, "2 2\n0 -1\n", "line 2: symbol -1 outside 0..1"),
+    # the first bad entry of the line is named, wherever the min or max falls
+    (parse_oa, "3 3\n0 5 1\n", "line 2: symbol 5 outside 0..2"),
+    (parse_oa, "3 3\n0 1 2\n2 -4 1\n", "line 3: symbol -4 outside 0..2"),
+    (parse_oa, "3 3\n1 7 -1\n", "line 2: symbol 7 outside 0..2"),
+    (parse_oa, "3 3\n1 -1 7\n", "line 2: symbol -1 outside 0..2"),
     (parse_oa, "2 2\n# only a comment\n\n", "no rows"),
     (parse_oa, "1 2\n0 0\n", "alphabet size n must be at least 2"),
     (parse_oa, "2 1\n0\n", "column count k must be at least 2"),
@@ -534,6 +547,7 @@ PARSE_CASES = [
     (parse_bibd, "7 3\n0 1 b\n", "line 2: non-integer point"),
     (parse_bibd, "7 3\n0 1 7\n", "line 2: point 7 outside 0..6"),
     (parse_bibd, "7 3\n9 9 1\n", "line 2: point 9 outside 0..6"),
+    (parse_bibd, "7 3\n0 8 -2\n", "line 2: point 8 outside 0..6"),
     (parse_bibd, "7 3\n0 1 1\n", "line 2: repeated point in block"),
     (parse_bibd, "7 3\n0 1 1\n0 1 9\n", "line 2: repeated point in block"),
     (parse_bibd, "7 3\n", "no blocks"),
@@ -545,4 +559,21 @@ PARSE_CASES = [
 def test_parse_error_golden(parse, text, message):
     with pytest.raises(FormatError) as info:
         parse(text)
+    assert str(info.value) == message
+
+
+ARRAY_CASES = [
+    (((0, 1, 2), (0, 5, 1)), "row 1: entry 5 outside 0..2"),
+    (((0, 2, -1),), "row 0: entry -1 outside 0..2"),
+    (((1, 7, -1),), "row 0: entry 7 outside 0..2"),
+    (((0, 1, True),), "row 0: entry True outside 0..2"),
+    (((2, 0, 2.0),), "row 0: entry 2.0 outside 0..2"),
+    (((0, 1, 2), (2, 1)), "row 1 has 2 entries, expected 3"),
+]
+
+
+@pytest.mark.parametrize("rows, message", ARRAY_CASES)
+def test_array_constructor_error_golden(rows, message):
+    with pytest.raises(ValueError) as info:
+        OrthogonalArray(3, 3, rows)
     assert str(info.value) == message
