@@ -26,7 +26,7 @@ from .arrays import (
     strength_lambda,
     symbol_counts,
 )
-from .bounds import johnson_R, oa_to_cwc_params
+from .bounds import equality_abar, johnson_R, oa_to_cwc_params
 from .cyclotomic import reduce_root_sum
 from .errors import (
     AuditFailure,
@@ -216,7 +216,7 @@ def variance_audit(array, m=1):
     pred_a = k * (lam * n - m)
     pred_pairs = k * (k - 1) * (lam - m)
     pred_sq = k * (k * (lam - m) + lam * (n - 1))
-    abar = Fraction(k * (lam * n - m), lam * n * n - m)
+    abar = equality_abar(k, n, lam, m)
     ssd = Fraction(sum_sq) - Fraction(sum_a * sum_a, N - m)
 
     checks = [

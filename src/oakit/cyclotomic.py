@@ -3,17 +3,15 @@
 A sum S = sum_s c_s * w**s (w a primitive n-th root of unity, c_s integers)
 vanishes iff the polynomial sum_s c_s x**s is divisible by the n-th
 cyclotomic polynomial Phi_n.  Reduction mod Phi_n therefore gives an exact
-zero test with integer arithmetic only; floating point is used solely as an
-independent cross-check oracle, never for the verdict.
+zero test with integer arithmetic only; no floating point is involved.
 
 Polynomials are tuples of integer coefficients, lowest degree first, with no
 trailing zeros (the zero polynomial is the empty tuple).
 """
 
-from functools import lru_cache
-import cmath
+from functools import cache
 
-__all__ = ["cyclotomic", "reduce_root_sum", "root_sum_is_zero", "root_sum_float"]
+__all__ = ["cyclotomic", "reduce_root_sum", "root_sum_is_zero"]
 
 
 def _trim(coeffs):
@@ -65,7 +63,7 @@ def poly_divmod(num, den):
     return _trim(q), _trim(num)
 
 
-@lru_cache(maxsize=None)
+@cache
 def cyclotomic(n):
     """Coefficients of the n-th cyclotomic polynomial Phi_n.
 
@@ -127,9 +125,3 @@ def root_sum_is_zero(counts, n):
     False
     """
     return not reduce_root_sum(counts, n)
-
-
-def root_sum_float(counts, n):
-    """Floating-point value of sum_s counts[s] * w**s (cross-check only)."""
-    w = cmath.exp(2j * cmath.pi / n)
-    return sum(c * w ** s for s, c in enumerate(counts))

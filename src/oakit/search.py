@@ -34,9 +34,9 @@ Everything a cell or a row needs that depends on the row prefix alone sits
 in one trie of row prefixes, grown lazily for the whole run (in each worker
 process apart): the node of a partial row holds the capacity indices that
 each symbol takes in the next column, and the leaf of a complete row is its
-recheck rule set.  A leaf is a tuple of references to rule objects built
-on first use, once per family and (row[1], row[a], row[b]), which rows
-share.  No rule is built before the first node.
+recheck rule set.  A leaf is a tuple of references to rule objects, built
+on first use and kept in a dict under (a, b, row[1], row[a], row[b]) for
+family (a, b), which rows share.  No rule is built before the first node.
 
 `maximize_stages` runs the exists-search at each forced multiplicity from
 the counting bound's floor down; `oracle_max_multiplicity` and the CLI's
@@ -184,10 +184,10 @@ def _tables(n, k):
     """The trie's layout and the root of an empty trie.
 
     The layout is (pidx, families, shared).  pidx[a][b] numbers the column
-    pairs a < b, `families` is `_families(k)`, and `shared` has one slot per
-    family f and (row[1], row[a], row[b]), at ((f*n + row[1])*n + row[a])*n
-    + row[b], for that family's recheck rules (`_family_rules`), which
-    `_node` builds when a leaf first needs them.  Nothing here depends on
+    pairs a < b, `families` is `_families(k)`, and `shared` is an empty
+    dict that maps (a, b, row[1], row[a], row[b]) to the recheck rules of
+    family (a, b) for rows with those cells (`_family_rules`), which
+    `_node` adds when a leaf first needs them.  Nothing here depends on
     lambda, the prefix or the budgets, so one search run builds these once;
     `_kernel` grows the trie and fills `shared` as it places rows, and both
     live as long as the tables: one run, or one worker's life.
@@ -195,8 +195,7 @@ def _tables(n, k):
     pidx = [[0] * k for _ in range(k)]
     for i, (a, b) in enumerate(combinations(range(k), 2)):
         pidx[a][b] = i
-    families = _families(k)
-    layout = (pidx, families, [None] * (len(families) * n**3))
+    layout = (pidx, _families(k), {})
     return layout, _node(n, k, layout, (), 0)
 
 
@@ -206,17 +205,18 @@ def _node(n, k, layout, row, c):
     Below c == k it is a list: for each symbol s, the indices in the
     capacity list that s takes in column c (the (a, c) blocks at row[a]),
     then n child slots, filled on first use.  At c == k it is the leaf: the
-    recheck rule set of the complete row, as the `shared` entries of its
-    families in family order, each built on first use.
+    recheck rule set of the complete row: the `shared` entries of its
+    families in family order, each added on first use.
     """
     pidx, families, shared = layout
     if c == k:
         leaf = []
-        for f, (a, b) in enumerate(families):
-            i = ((f * n + row[1]) * n + row[a]) * n + row[b]
-            rules = shared[i]
-            if rules is None:
-                rules = shared[i] = _family_rules(n, pidx, a, b, row[1], row[a], row[b])
+        for a, b in families:
+            key = (a, b, row[1], row[a], row[b])
+            try:
+                rules = shared[key]
+            except KeyError:
+                rules = shared[key] = _family_rules(n, pidx, *key)
             leaf += rules
         return tuple(leaf)
     n2 = n * n

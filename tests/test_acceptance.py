@@ -26,7 +26,6 @@ from oakit import (
     pb_min_lambda,
     rank_bound_certificate,
     rao_min_rows,
-    root_sum_float,
     root_sum_is_zero,
     root_vector_family,
     row_multiplicities,
@@ -37,6 +36,7 @@ from oakit import (
     variance_audit,
     verify_bibd,
 )
+from test_cyclotomic import root_sum_float
 
 
 @contextlib.contextmanager

@@ -6,7 +6,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oakit import OrthogonalArray, format_oa, generate_linear_oa, stack
@@ -386,6 +386,7 @@ def argv_files(tmp_path_factory):
         "stacked": format_oa(stack(parity, 2)),
         "forged": format_oa(OrthogonalArray(5, 6, tuple(forged))),
         "short": "2 3\n0 0 0\n1 1 1\n0 1 1\n",  # N not a multiple of n^2
+        "constant": "2 3\n" + "0 0 0\n" * 4,  # one row N times: --m up to N
         "malformed": "2 3\n0 0\n1 x 1\n",
     }
     files = {name: root / f"{name}.txt" for name in texts}
@@ -419,7 +420,7 @@ def _command_line(draw):
     argv = [command]
     file = "{%s}" % draw(
         st.sampled_from(
-            ["parity", "stacked", "forged", "short", "malformed", "binary", "oa353", "missing"]
+            "parity stacked forged short constant malformed binary oa353 missing".split()
         )
     )
     if command == "verify":
@@ -441,7 +442,7 @@ def _command_line(draw):
             argv.extend(["--design", draw(st.sampled_from(designs))])
     elif command == "audit":
         argv.extend([file, "--method", draw(st.sampled_from(AUDIT_METHODS + ("sudoku",)))])
-        option("--m", 1, 3)
+        option("--m", 1, 4)
     else:
         # small problems only: n <= 3, k <= 8, lambda <= 3, at most 500 nodes
         # a stage and at most two worker processes
@@ -464,6 +465,8 @@ def _command_line(draw):
 
 @settings(max_examples=200)
 @given(command_line=_command_line())
+# the random draws reach this case rarely: --m equal to N leaves no row to count
+@example(command_line=(["audit", "{constant}", "--method", "variance", "--m", "4"], None))
 def test_main_ends_every_command_line_with_a_documented_exit_code(argv_files, command_line):
     argv, ceiling = command_line
     argv = [arg.format(**argv_files) for arg in argv]

@@ -4,8 +4,14 @@ import random
 
 import pytest
 
-from oakit import cyclotomic, reduce_root_sum, root_sum_float, root_sum_is_zero
+from oakit import cyclotomic, reduce_root_sum, root_sum_is_zero
 from oakit.cyclotomic import poly_divmod, poly_mul
+
+
+def root_sum_float(counts, n):
+    """Floating-point value of sum_s counts[s] * w**s (cross-check only)."""
+    w = cmath.exp(2j * cmath.pi / n)
+    return sum(c * w ** s for s, c in enumerate(counts))
 
 
 KNOWN = {

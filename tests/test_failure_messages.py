@@ -252,6 +252,21 @@ def test_cli_stderr_on_a_forged_array_is_pinned(capsys, tmp_path, method):
     assert captured.out.endswith(last + "\n")
 
 
+def test_variance_claim_of_every_row_is_pinned(capsys, tmp_path):
+    # m = N leaves no row to count, so the mean abar has denominator 0
+    constant = OrthogonalArray(2, 3, ((0, 0, 0),) * 4)
+    with pytest.raises(ValueError) as info:
+        variance_audit(constant, 4)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "need lambda*n**2 > m"
+    path = tmp_path / "constant.txt"
+    path.write_text(format_oa(constant))
+    assert main(["audit", str(path), "--method", "variance", "--m", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "#REPORT v1\nmethod variance\nerror invalid-claim\n"
+    assert captured.err == "need lambda*n**2 > m\n"
+
+
 @pytest.mark.parametrize(
     "argv", [["verify"], ["audit", "--method", "roots"]], ids=["verify", "audit"]
 )

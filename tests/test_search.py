@@ -749,19 +749,14 @@ def test_leaves_share_their_rules_per_family(n, k, lam):
     # lowered, `other` the term's second cell, `rest` the other terms.
     # Within family (a, b) the rules depend on row[1], row[a] and row[b]
     # alone, and rows that agree there hold the same rule objects.
-    # The `shared` slots filled are exactly those of the grown leaves.
+    # The `shared` store holds exactly the keys of the grown leaves.
     tables = search_module._tables(n, k)
-    (_, families, slots), root = tables
+    (_, families, store), root = tables
     rules = hall_rules(n, k)
     search_module._kernel(n, k, lam, (), "count", None, None, tables)
     leaves = trie_leaves(root, n, k)
     assert len(leaves) > n**3
-    filled = {i for i, entry in enumerate(slots) if entry is not None}
-    assert filled == {
-        ((f * n + row[1]) * n + row[a]) * n + row[b]
-        for row in leaves
-        for f, (a, b) in enumerate(families)
-    }
+    assert set(store) == {(a, b, row[1], row[a], row[b]) for row in leaves for a, b in families}
     pidx, _, _ = reference_tables(n, k, 1)
     width = 2 * (n - 1)
     for row, leaf in leaves.items():
@@ -781,6 +776,13 @@ def test_leaves_share_their_rules_per_family(n, k, lam):
                 assert all(x is y for x, y in zip(leaf[part], other_leaf[part]))
                 shared += 1
     assert shared > 0
+
+
+def test_fresh_tables_hold_no_rules():
+    # the rule store grows with the leaves: a wide search holds nothing for
+    # its 28 441 families before its first complete row
+    (_, families, store), _ = search_module._tables(2, 240)
+    assert len(families) == 28_441 and len(store) == 0
 
 
 def reference_hall(n, k, lam, r_next, cap):
