@@ -190,6 +190,9 @@ def cmd_bounds(args):
         if any(x is not None for x in (args.t, args.k, args.n, args.lam, args.m)):
             raise _UsageError("--design cannot be combined with array parameters")
         params = _parse_design(args.design)
+        j = min(params.s, params.v - params.s)
+        if j >= 1:
+            _refuse_digits(params.v // j, j)  # C(v, s) >= (v // j)**j
         head = (
             f"design v={params.v} k={params.k} lambda={params.lam} b={params.b} "
             f"t={params.t} s={params.s} m={params.m}"
@@ -209,6 +212,7 @@ def cmd_bounds(args):
                 raise ValueError("multiplicity m must be at least 1")
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    _refuse_digits((k // (t // 2)) * (n - 1), t // 2)  # Rao >= C(k, s)(n-1)**s, s = t // 2
 
     results = [pb_min_lambda(k, n, lam)]
     if m is not None:
@@ -223,6 +227,17 @@ def cmd_bounds(args):
     return _bound_report([], results, equality_abar(k, n, lam, m) if with_abar else None)
 
 
+def _too_many_digits():
+    return _UsageError(f"a bound has more than {sys.get_int_max_str_digits()} digits")
+
+
+def _refuse_digits(x, j):
+    """Refuse, before computing it, a bound of at least x**j that has too many digits to print."""
+    limit = sys.get_int_max_str_digits()
+    if limit and j * (x.bit_length() - 1) >= (10**limit).bit_length():
+        raise _too_many_digits()
+
+
 def _bound_report(lines, results, abar=None):
     """Emit `lines`, a line per bound and the `abar` line; 1 if a bound is violated.
 
@@ -233,7 +248,7 @@ def _bound_report(lines, results, abar=None):
         if abar is not None:
             lines.append(f"abar {_fmt(abar)}")
     except ValueError:
-        raise _UsageError(f"a bound has more than {sys.get_int_max_str_digits()} digits") from None
+        raise _too_many_digits() from None
     _emit(lines)
     return 1 if any(r.applicable and r.satisfied is False for r in results) else 0
 

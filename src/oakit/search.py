@@ -160,7 +160,8 @@ class SearchResult:
 
 
 # Nodes a chunked kernel run explores before it hands back the rest of its
-# subtree: the cadence of the deadline check.
+# subtree.  The deadline check does not read it: a sequential run checks on
+# the literal `nodes & 1023` mask, a chunked run at each chunk's first node.
 _CHUNK_NODES = 1024
 
 # Set in search workers only, from the worker's start arguments: shared
@@ -348,11 +349,12 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
     of block (0, 1), which each visit of its node places once, and its own
     `path` and `tight` lists, whose entry 2 the forced columns fix; its
     cells branch from column 2.  `c` is the loop's state: at c == k
-    it enters the node of row r; for 2 <= c < k it moves cell c of row r to
-    its next symbol with room; at c < 2 row r is done and the loop goes back
-    to the last cell of row r - 1.  The last cell checks each complete row
-    against its leaf's recheck set at once, so a rejected row costs no trip
-    round the loop.
+    it enters the node of row r; for 2 <= c < k one candidate loop, the
+    same for every cell, moves cell c of row r to its next symbol with room;
+    at c < 2 row r is done and the loop goes back to the last cell of row
+    r - 1.  At the last cell a symbol with room completes the row, and the
+    candidate loop also checks it against its leaf's recheck set, so a
+    rejected row costs no trip round the outer loop.
 
     With `chunk` set, the run stops entering nodes when its node counter
     reaches `chunk`, and `rest` hands back the rest of its subtree as
@@ -446,7 +448,9 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
                 row, prev, path, tight, fixed = frames[r]
                 c = last
                 continue
-            # cell c: lift its current symbol, then try each one below it
+            # cell c: lift its current symbol, then take the next one below
+            # it with room; at the last cell that symbol completes the row,
+            # which must also pass its leaf's recheck set
             node = path[c]
             s = row[c]
             if s >= 0:
@@ -455,30 +459,6 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
                 s -= 1
             else:
                 s = n - 1
-            if c < last:
-                for s in range(s, prev[c] - 1 if tight[c] else -1, -1):
-                    ix = node[s]
-                    for o in ix:
-                        if cap[o] <= 0:
-                            break
-                    else:
-                        for o in ix:
-                            cap[o] -= 1
-                        break
-                else:
-                    row[c] = -1
-                    c -= 1
-                    continue
-                row[c] = s
-                c += 1
-                tight[c] = tight[c - 1] and s == prev[c - 1]
-                child = node[n + s]
-                if child is None:
-                    child = node[n + s] = _node(n, k, layout, row, c)
-                path[c] = child
-                continue
-            # the last cell: each symbol with room completes the row, which
-            # must pass its leaf's recheck set
             for s in range(s, prev[c] - 1 if tight[c] else -1, -1):
                 ix = node[s]
                 for o in ix:
@@ -488,10 +468,12 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
                     for o in ix:
                         cap[o] -= 1
                     row[c] = s
-                    leaf = node[n + s]
-                    if leaf is None:
-                        leaf = node[n + s] = _node(n, k, layout, row, k)
-                    if hall(cap, leaf):
+                    child = node[n + s]
+                    if child is None:
+                        child = node[n + s] = _node(n, k, layout, row, c + 1)
+                    if c < last:
+                        break
+                    if hall(cap, child):
                         if not split:
                             break
                         # rest[0] is the node not entered; its first r
@@ -503,8 +485,13 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
                 row[c] = -1
                 c -= 1
                 continue
-            r += 1
-            c = k
+            if c < last:
+                c += 1
+                tight[c] = tight[c - 1] and s == prev[c - 1]
+                path[c] = child
+            else:
+                r += 1
+                c = k
             continue
         # c == k: enter the node of row r, below complete rows
         if nodes == stop_at and stop_at != node_budget:

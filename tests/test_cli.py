@@ -154,6 +154,28 @@ def test_bounds_usage_errors(capsys, argv):
     assert err.startswith("oakit: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a Rao sum of 5 * 10**17 terms, and one of 10**6 terms
+        ("--t", "1000000000000000000", "--k", "1000000000000000000", "--n", "3"),
+        ("--t", "2000000", "--k", "2000000", "--n", "2", "--m", "1"),
+        # C(2 000 000, 1 000 000), although the rcw bound does not apply
+        ("--design", "2000000,3,1,7,2,1000000,1"),
+    ],
+)
+def test_bounds_refuse_a_provably_long_bound_before_computing_it(argv):
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=4300", "-m", "oakit.cli", "bounds", *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "oakit: a bound has more than 4300 digits\n"
+
+
 # ---------------------------------------------------------------------------
 # audit
 # ---------------------------------------------------------------------------

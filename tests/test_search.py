@@ -785,6 +785,30 @@ def test_fresh_tables_hold_no_rules():
     assert len(families) == 28_441 and len(store) == 0
 
 
+def trie_inner_nodes(node, n, depth):
+    """The nodes above the leaves, root included, of a row-prefix trie `depth` cells deep."""
+    if depth == 0:
+        return 0
+    return 1 + sum(trie_inner_nodes(child, n, depth - 1) for child in node[n:] if child is not None)
+
+
+@pytest.mark.parametrize(
+    "n,k,lam,m,mode,size",
+    [
+        (3, 5, 3, 3, "exists", (44, 45, 81)),
+        (3, 5, 3, 2, "exists", (83, 115, 151)),
+        (3, 3, 3, 0, "count", (13, 27, 27)),
+    ],
+)
+def test_trie_grows_only_along_symbols_with_room(n, k, lam, m, mode, size):
+    # a cell builds its child only after its symbol took capacity, so the
+    # trie and the rule store hold exactly the prefixes the search placed
+    tables = search_module._tables(n, k)
+    (_, _, store), root = tables
+    search_module._kernel(n, k, lam, ((0,) * k,) * m, mode, None, None, tables)
+    assert (trie_inner_nodes(root, n, k), len(trie_leaves(root, n, k)), len(store)) == size
+
+
 def reference_hall(n, k, lam, r_next, cap):
     """The original per-row Hall predicate, kept verbatim as the reference."""
     n2 = n * n
