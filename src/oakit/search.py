@@ -55,18 +55,19 @@ chunks' node counts in DFS order, so that status, witness, node count and
 solution count are identical to the single-worker run for any worker
 count.  A wall budget becomes one absolute deadline, checked before the
 first node and every 1024 nodes after; in multi-worker mode every chunk
-shares it.
+shares it.  Once the answer is known, each worker is sent None down its
+pipe, and a running chunk, which polls that pipe every 256 nodes, stops.
 """
 
 import os
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import combinations
-from multiprocessing import get_context
 
 from .arrays import OrthogonalArray, row_multiplicities, strength_lambda
 from .bounds import max_multiplicity
-from .errors import BudgetExceeded, CeilingExceeded, UnsupportedParameters
+from .errors import BudgetExceeded, CeilingExceeded, OakitError, UnsupportedParameters
 
 __all__ = [
     "FOUND",
@@ -164,21 +165,16 @@ class SearchResult:
 # the literal `nodes & 1023` mask, a chunked run at each chunk's first node.
 _CHUNK_NODES = 1024
 
-# Set in search workers only, from the worker's start arguments: shared
-# memory reaches a process when it starts, not with a task.
-_stop_flag = None
 
-
-def _worker(conn, flag, tables, chunk):
+def _worker(conn, tables, chunk):
     """A search worker: runs the chunk below each prefix received until None.
 
     `tables` and its row-prefix trie serve every chunk of the run, and the
-    chunk interval comes from the parent like the tables.
+    chunk interval comes from the parent like the tables.  A busy worker is
+    sent nothing but the None that ends it, so `conn.poll` is its `stop`.
     """
-    global _stop_flag
-    _stop_flag = flag
     for args in iter(conn.recv, None):
-        conn.send(_kernel(*args, tables, chunk))
+        conn.send(_kernel(*args, tables, chunk, conn.poll))
 
 
 def _tables(n, k):
@@ -323,7 +319,7 @@ def _hall(cap, rules):
     return True
 
 
-def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=None):
+def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=None, stop=None):
     """Canonical DFS below a fixed row prefix.
 
     Returns a dict with keys status/nodes/witness/solutions/rest.  `tables`
@@ -366,12 +362,12 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
     each prefix of `rest` in order visits exactly the nodes of one
     unchunked run.  The budget and the interval share one `stop_at`; a
     budget that falls at the interval stops the run.
+
+    `stop`, if given, is called before the first node and every 256th
+    after; a true answer ends the run as budget-exceeded.
     """
     rest = []
     out = {"status": EXHAUSTED, "nodes": 0, "witness": None, "solutions": 0, "rest": rest}
-    stop = _stop_flag
-    if stop is not None and stop.value:
-        return dict(out, status=BUDGET_EXCEEDED)
     N = lam * n * n
     lns = lam * n
     layout, root = tables or _tables(n, k)
@@ -501,7 +497,7 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
             split = True
         elif (
             nodes == stop_at
-            or (stop is not None and stop.value)
+            or (stop is not None and not nodes & 255 and stop())
             or (deadline is not None and not nodes & 1023 and time.monotonic() > deadline)
         ):
             return dict(out, status=BUDGET_EXCEEDED, nodes=nodes)
@@ -566,15 +562,18 @@ def search_oa(problem, workers=1):
 
     One kernel run is the whole search on one worker.  With workers > 1 the
     search runs in chunks of `_CHUNK_NODES` nodes.  The first chunk runs in
-    this process, so a search that ends inside it starts no process.
-    Otherwise its hand-back becomes an ordered replay list, and worker
-    processes start, each with its own pipe.  Whenever a worker is free it
-    gets the leftmost prefix not yet sent, one task in flight per worker,
-    and each chunk's hand-back is spliced in right behind it; no task starts
-    to the right of a result that ends the search.  Results are replayed
-    from the head of the list with the exact single-worker budget
-    accounting.  A found witness therefore is the one the sequential search
-    would report, and exhaustion still means the full tree was traversed.
+    this process, so a search that ends inside it starts no process and
+    imports no multiprocessing.  Otherwise its hand-back becomes an ordered
+    replay list, and worker processes start, each with its own pipe.
+    Whenever a worker is free it gets the leftmost prefix not yet sent, one
+    task in flight per worker, and each chunk's hand-back is spliced in
+    right behind it; no task starts to the right of a result that ends the
+    search.  Results are replayed from the head of the list with the exact
+    single-worker budget accounting.  A found witness therefore is the one
+    the sequential search would report, and exhaustion still means the full
+    tree was traversed.  Once the answer is known, each worker is sent None,
+    which also stops a running chunk within 256 nodes.  A worker that exits
+    before it answers raises OakitError.
 
     A run stopped by a budget reports no witness and solution_count 0.  A
     run stopped by its wall budget reports the nodes replayed in DFS order,
@@ -591,7 +590,8 @@ def search_oa(problem, workers=1):
     if not raw["rest"]:
         return _finish(p, raw)
 
-    # imported here, as ctx.Pipe() does: a sequential search never loads it
+    # imported here: a search that ends in its first chunk never loads them
+    from multiprocessing import get_context
     from multiprocessing.connection import wait
 
     limit = float("inf") if p.node_budget is None else p.node_budget
@@ -599,14 +599,13 @@ def search_oa(problem, workers=1):
     # Prefixes are distinct nodes, so `tasks.index` finds the entry itself.
     tasks = [[q, False, None] for q in raw.pop("rest")]
     ctx = get_context()
-    stop = ctx.RawValue("b", 0)
     conns = []
     procs = []
     running = {}  # connection -> the task its worker runs
     try:
         for _ in range(_pool_size(workers, len(tasks))):
             conn, child = ctx.Pipe()
-            proc = ctx.Process(target=_worker, args=(child, stop, tables, chunk), daemon=True)
+            proc = ctx.Process(target=_worker, args=(child, tables, chunk), daemon=True)
             proc.start()
             child.close()
             conns.append(conn)
@@ -635,23 +634,23 @@ def search_oa(problem, workers=1):
                     running[conn] = task
             for conn in wait(list(running)):
                 task = running.pop(conn)
-                task[2] = res = conn.recv()
+                try:
+                    task[2] = res = conn.recv()
+                except EOFError:
+                    raise OakitError("a search worker exited before answering") from None
                 at = tasks.index(task) + 1
                 tasks[at:at] = [[q, False, None] for q in res.pop("rest")]
         raw["status"] = FOUND if raw["witness"] is not None else EXHAUSTED
         return _finish(p, raw)
     finally:
-        # A running chunk stops at its next node; its worker then reads
-        # None and exits.  Its result is read first, so no worker waits on
-        # a full pipe.
-        stop.value = 1
+        # Each worker is sent None and exits; a running chunk stops within 256
+        # nodes, and its result is read so that no worker waits on a full pipe.
         for conn in conns:
-            try:
-                if conn in running:
-                    conn.recv()
+            with suppress(OSError):  # that worker has exited already
                 conn.send(None)
-            except (EOFError, OSError):
-                pass  # that worker has exited already
+        for conn in running:
+            with suppress(EOFError, OSError):
+                conn.recv()
         for proc in procs:
             proc.join()
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oakit.cli as cli
 import oakit.search as search_module
 from oakit import (
     CeilingExceeded,
@@ -545,26 +546,123 @@ def test_parallel_runs_that_stop_early_never_hang():
     subprocess.run([sys.executable, "-c", EARLY_EXITS], env=env, check=True, timeout=120)
 
 
-class StopAfterReads:
-    """A stand-in for the pool's shared stop flag that is set after `reads` reads."""
+class StopAfterCalls:
+    """A stand-in for a worker's `conn.poll` that says stop from call `calls` + 1 on."""
 
-    def __init__(self, reads):
-        self.reads = reads
+    def __init__(self, calls):
+        self.calls = calls
+        self.made = 0
 
-    @property
-    def value(self):
-        self.reads -= 1
-        return int(self.reads < 0)
+    def __call__(self):
+        self.made += 1
+        return self.made > self.calls
 
 
-@pytest.mark.parametrize("reads,nodes", [(0, 0), (1, 0), (6, 5)])
-def test_pool_stop_flag_stops_a_subtree_at_its_next_node(monkeypatch, reads, nodes):
-    # a pool worker's kernel reads the flag its parent sets once the answer
-    # is known, before it starts and at every node, so the pool can close
-    # without killing a worker
-    monkeypatch.setattr(search_module, "_stop_flag", StopAfterReads(reads))
-    raw = search_module._kernel(3, 5, 3, ((0,) * 5,) * 2, "exists", None, None)
+@pytest.mark.parametrize("calls,nodes", [(0, 0), (1, 256), (2, 512), (45, 11520)])
+def test_stop_callable_stops_a_chunk_within_256_nodes(calls, nodes):
+    # A worker's kernel polls its pipe before its first node and every 256
+    # nodes after, so the parent's None stops a running chunk without
+    # killing the worker.  (3,5,3) m=2 finds its witness at node 11 614.
+    stop = StopAfterCalls(calls)
+    raw = search_module._kernel(3, 5, 3, ((0,) * 5,) * 2, "exists", None, None, stop=stop)
     assert (raw["status"], raw["nodes"], raw["witness"]) == ("budget-exceeded", nodes, None)
+    assert stop.made == calls + 1
+
+
+def test_a_stop_that_never_says_stop_changes_nothing():
+    stop = StopAfterCalls(10**9)
+    args = (3, 5, 3, ((0,) * 5,) * 2, "exists", None, None)
+    assert search_module._kernel(*args, stop=stop) == search_module._kernel(*args)
+    assert stop.made == 46  # nodes 0, 256, ..., 11 520 of 11 614
+
+
+class QueuedPipe:
+    """A stand-in for a worker's end of its pipe, holding what the parent sent."""
+
+    def __init__(self, *messages):
+        self.messages = list(messages)
+        self.sent = []
+
+    def recv(self):
+        return self.messages.pop(0)
+
+    def poll(self):
+        return bool(self.messages)
+
+    def send(self, obj):
+        self.sent.append(obj)
+
+
+def test_a_worker_stops_its_chunk_when_the_none_is_waiting():
+    # The parent's None that ends a worker also stops the chunk it is running:
+    # a chunk that finds it waiting at its first node enters no node.
+    task = (3, 5, 3, ((0,) * 5,) * 2, "exists", None, None)
+    pipe = QueuedPipe(task, None)
+    search_module._worker(pipe, search_module._tables(3, 5), 1024)
+    assert [(r["status"], r["nodes"]) for r in pipe.sent] == [("budget-exceeded", 0)]
+    assert pipe.messages == []
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="only a forked worker inherits the patched kernel",
+)
+def test_a_worker_that_dies_ends_the_search_with_one_error_line(monkeypatch, capsys):
+    # A worker whose pipe closed before it answered once ended the CLI in an
+    # EOFError traceback.  Every worker here exits at its first chunk.
+    kernel = search_module._kernel
+    caller = os.getpid()
+
+    def dying_kernel(*args):
+        if os.getpid() != caller:
+            os._exit(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(search_module, "_kernel", dying_kernel)
+    argv = ["search", "--n", "3", "--k", "5", "--lambda", "3", "--m", "3", "--workers", "2"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "oakit: a search worker exited before answering\n")
+    assert multiprocessing.active_children() == []
+
+
+# What a fresh interpreter has imported after each script; run as EARLY_EXITS is.
+LOADED = """
+import sys
+import oakit, oakit.cli
+from oakit import SearchProblem, search_oa
+assert search_oa(SearchProblem(3, 5, 3, m=2)).nodes_explored == 11614
+assert search_oa(SearchProblem(2, 4, 3, m=2), workers=2).nodes_explored == 23
+if sys.argv[1] == "workers":
+    assert search_oa(SearchProblem(3, 5, 3, m=3), workers=2).nodes_explored == 15149
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize(
+    "case,loaded,absent",
+    [
+        ("first-chunk", [], ["multiprocessing"]),
+        ("workers", ["multiprocessing"], ["multiprocessing.sharedctypes", "ctypes"]),
+    ],
+)
+def test_a_search_loads_only_the_process_machinery_it_uses(case, loaded, absent):
+    # Importing the package and the CLI, a sequential search and a parallel
+    # search that ends in its first chunk load no multiprocessing at all; a
+    # search that starts workers stops them through their pipes, with no
+    # shared memory.
+    src = pathlib.Path(search_module.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run(
+        [sys.executable, "-c", LOADED, case],
+        env=env,
+        check=True,
+        timeout=120,
+        capture_output=True,
+        text=True,
+    )
+    modules = set(run.stdout.split())
+    assert [name for name in loaded + absent if name in modules] == loaded
 
 
 def test_a_zero_budget_run_builds_no_rule():
