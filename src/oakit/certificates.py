@@ -14,11 +14,13 @@ m(k(n-1)+1) <= N (with m = 1 where no repeated row is involved), so their
 conclusions can be cross-checked for agreement.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
-from operator import mul
+from math import gcd
+from operator import mul, sub
 
 from .arrays import (
     normalize_repeated_row,
@@ -392,13 +394,13 @@ def gram_certificate(array):
     The nk+1 vectors are then independent in an (N+k)-dimensional space,
     so nk+1 <= N+k.
 
-    Each row after the first has its predecessor subtracted (row p minus
-    row p-1 of the Gram matrix) before the elimination.  That step is
-    unimodular, so the determinant is unchanged; on a valid Gram matrix it
-    leaves a bidiagonal block in which every shifted row has exactly 2
-    nonzeros.  `integer_det` keeps only those nonzeros, and its sparse
-    pivot rule picks a shifted row for every column, so each pivot step
-    touches one other row: row 0.
+    Before the elimination every row after the first has its predecessor
+    subtracted, and then every column after the first has its predecessor
+    subtracted.  Both steps multiply by a unimodular factor, so the
+    determinant is unchanged.  On a valid Gram matrix lambda*J collapses to
+    the single entry (0, 0) and the result is tridiagonal: no row is dense,
+    `integer_det` keeps only the nonzeros, and its sparse pivot rule takes
+    the rows in order, so each pivot step touches one other row: the next.
     """
     lam = _index_of(array)
     n, k, N = array.n, array.k, array.N
@@ -421,9 +423,9 @@ def gram_certificate(array):
             mismatches += [
                 (p, q, got, want) for q, (got, want) in enumerate(zip(row, expect)) if got != want
             ]
-    det = integer_det(
-        [gram[0]] + [[a - b for a, b in zip(row, above)] for above, row in zip(gram, gram[1:])]
-    )
+    # D G D^T: rows, then columns, each minus its predecessor
+    rows = [gram[0]] + [list(map(sub, row, above)) for above, row in zip(gram, gram[1:])]
+    det = integer_det([row[:1] + list(map(sub, row[1:], row)) for row in rows])
     checks = (
         _eq_check("lemma-entrywise", len(mismatches), 0),
         Check("det-positive", str(det), "0", det > 0),
@@ -450,6 +452,13 @@ class RootVectorFamily:
 
     One length-N vector per (column, multiplier) pair plus the all-zeros
     vector: entry i of vector (j, m) is m * array[i][j] mod n.
+
+    Coordinates on which every vector agrees, such as the copies of a
+    repeated row, form groups.  With g the gcd of the group sizes, `product`
+    visits size/g coordinates of each group and counts each one g times, so
+    an array whose row multiplicities share the factor g is counted over
+    N/g coordinates.  The fold is derived from `vectors` alone, once per
+    family; vectors of differing lengths get g = 1.
     """
 
     n: int
@@ -458,17 +467,40 @@ class RootVectorFamily:
     labels: tuple
     vectors: tuple
 
+    @cached_property
+    def _fold(self):
+        """(g, the vectors cut to the coordinates `product` visits)."""
+        if len(set(map(len, self.vectors))) > 1:
+            return 1, self.vectors
+        coordinates = list(zip(*self.vectors))
+        sizes = Counter(coordinates)
+        g = gcd(*sizes.values())
+        if g < 2:
+            return 1, self.vectors
+        left = {c: size // g for c, size in sizes.items()}
+        kept = []
+        for i, c in enumerate(coordinates):
+            if left[c]:
+                left[c] -= 1
+                kept.append(i)
+        return g, tuple(tuple(map(v.__getitem__, kept)) for v in self.vectors)
+
     def product(self, a, b):
         """Hermitian product of vectors a and b: entry e counts coordinates with u - v = e mod n.
 
-        >>> from oakit import generate_linear_oa
+        >>> from oakit import generate_linear_oa, stack
         >>> family = root_vector_family(generate_linear_oa(2, 3))
         >>> family.product(1, 2), family.product(1, 1)
         ((2, 2), (4, 0))
+        >>> doubled = root_vector_family(stack(generate_linear_oa(2, 3), 2))
+        >>> doubled.product(1, 2), doubled.product(1, 1)
+        ((4, 4), (8, 0))
         """
-        counts = [0] * self.n
-        for u, v in zip(self.vectors[a], self.vectors[b]):
-            counts[(u - v) % self.n] += 1
+        g, vectors = self._fold
+        n = self.n
+        counts = [0] * n
+        for u, v in zip(vectors[a], vectors[b]):
+            counts[(u - v) % n] += g
         return tuple(counts)
 
 

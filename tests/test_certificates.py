@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oakit.certificates as certificates
 import oakit.linalg as linalg
@@ -18,6 +20,7 @@ from oakit import (
     NotAnOA,
     OrthogonalArray,
     RankDeficient,
+    RootVectorFamily,
     TransversalDesign,
     WeightMismatch,
     check_span_equations,
@@ -374,10 +377,10 @@ def test_gram_determinant_at_full_size(array, permuted):
     [generate_linear_oa(13, 14), stack(generate_linear_oa(11, 12), 2)],
     ids=["linear-13-14", "stacked-11-12"],
 )
-def test_gram_elimination_gets_a_bidiagonal_matrix(monkeypatch, array):
-    # Each row minus its predecessor: on a valid Gram matrix shifted row p
-    # has exactly 2 nonzeros, in columns p-1 and p, so no two shifted rows
-    # share a column and each pivot step touches one other row (row 0).
+def test_gram_elimination_gets_a_tridiagonal_matrix(monkeypatch, array):
+    # Each row minus its predecessor, then each column minus its predecessor:
+    # on a valid Gram matrix lambda*J collapses to entry (0, 0), so row p has
+    # nonzeros exactly in columns p-1, p and p+1 that exist, and no row is dense.
     seen = []
     det = certificates.integer_det
 
@@ -388,8 +391,9 @@ def test_gram_elimination_gets_a_bidiagonal_matrix(monkeypatch, array):
     monkeypatch.setattr(certificates, "integer_det", captured)
     assert gram_certificate(array).passed
     [matrix] = seen
-    support = [[j for j, x in enumerate(row) if x] for row in matrix[1:]]
-    assert support == [[p - 1, p] for p in range(1, len(matrix))]
+    size = len(matrix)
+    support = [[j for j, x in enumerate(row) if x] for row in matrix]
+    assert support == [[j for j in (p - 1, p, p + 1) if 0 <= j < size] for p in range(size)]
 
 
 def test_gram_certificate_on_higher_index(oa242):
@@ -417,6 +421,63 @@ def test_root_family_shape(oa43):
     assert family.labels[0] == "C0"
     assert family.labels[1] == "1C1"
     assert all(len(v) == oa43.N for v in family.vectors)
+
+
+def zip_product(family, a, b):
+    """The product of a and b counted by a plain loop over the zipped coordinates."""
+    counts = [0] * family.n
+    for u, v in zip(family.vectors[a], family.vectors[b]):
+        counts[(u - v) % family.n] += 1
+    return tuple(counts)
+
+
+def assert_products_match_zip_loop(family):
+    for a, b in itertools.product(range(len(family.vectors)), repeat=2):
+        assert family.product(a, b) == zip_product(family, a, b), (a, b)
+
+
+@given(n=st.integers(2, 5), size=st.integers(1, 4), data=st.data())
+def test_product_of_a_hand_built_family_is_the_zip_loop(n, size, data):
+    # Distinct coordinates (columns of the vectors), each repeated some number
+    # of times and shuffled: with or without a shared factor g in the repeats.
+    symbols = st.tuples(*[st.integers(0, n - 1)] * size)
+    distinct = data.draw(st.lists(symbols, min_size=1, max_size=6, unique=True), label="coords")
+    repeats = data.draw(st.lists(st.integers(1, 6), min_size=len(distinct), max_size=len(distinct)))
+    coordinates = [c for c, r in zip(distinct, repeats) for _ in range(r)]
+    coordinates = data.draw(st.permutations(coordinates), label="order")
+    vectors = tuple(zip(*coordinates))
+    labels = tuple(f"v{i}" for i in range(size))
+    family = RootVectorFamily(n, 1, len(coordinates), labels, vectors)
+    assert_products_match_zip_loop(family)
+    assert family.vectors == vectors
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [((0, 1, 0, 1), (1, 1, 1, 1), (0, 0)), ((0, 0), (1, 1, 1, 1)), ((), ())],
+    ids=["short-last", "short-first", "empty"],
+)
+def test_product_of_odd_hand_built_families_is_the_zip_loop(vectors):
+    # Vectors of differing lengths, or of length 0, are not folded: their
+    # products stay the zip loop's, cut at the shorter vector.
+    labels = tuple(f"v{i}" for i in range(len(vectors)))
+    family = RootVectorFamily(3, 1, 4, labels, vectors)
+    assert_products_match_zip_loop(family)
+    assert family._fold == (1, vectors)
+
+
+def test_fold_factor_is_the_gcd_of_the_row_multiplicities(parity, stacked_parity, oa43, oa353_m2):
+    assert root_vector_family(stacked_parity)._fold[0] == 2
+    assert root_vector_family(stack(oa43, 3))._fold[0] == 3
+    assert root_vector_family(parity)._fold[0] == 1
+    assert root_vector_family(shift_cell(stacked_parity, 0, 0))._fold[0] == 1
+    # multiplicities 2 and 4: g = 2, and each product is still the zip loop's
+    doubled = root_vector_family(stack(oa353_m2, 2))
+    assert doubled._fold[0] == 2
+    assert len(doubled._fold[1][0]) == doubled.N // 2
+    assert_products_match_zip_loop(doubled)
+    for array in (stack(oa43, 3), shift_cell(stacked_parity, 0, 0)):
+        assert_products_match_zip_loop(root_vector_family(array))
 
 
 def test_orthogonality_certificate(parity, oa43, oa65, oa242):

@@ -15,10 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oakit import format_oa, normalize_repeated_row, reduce_root_sum
+from oakit import format_oa, normalize_repeated_row, reduce_root_sum, stack
 from oakit.cli import REPORT_HEADER, main
 from test_invariance import BASES, relabelled
 from test_mutations import mutants
+
+# Besides BASES, two arrays whose row multiplicities share a factor g > 1, so
+# that the audits count over N/g coordinates: oa43 with every row 3 times
+# (g = 3), and oa353_m2 twice, with multiplicities 2 and 4 (g = 2).  Their
+# forged cells break a group of repeated rows, which takes g back to 1.
+INPUTS = {
+    **BASES,
+    "stacked_oa43": (stack(BASES["oa43"][0], 3), 3),
+    "stacked_oa353_m2": (stack(BASES["oa353_m2"][0], 2), 4),
+}
 
 
 def _poly(residual):
@@ -85,9 +95,9 @@ def assert_cli_matches_reference(array, m, path):
         assert out.getvalue().splitlines() == expected, (method, m, array.rows)
 
 
-@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("base", INPUTS)
 def test_root_sum_audits_match_the_reference_on_every_forged_cell(tmp_path, base):
-    array, m = BASES[base]
+    array, m = INPUTS[base]
     assert_cli_matches_reference(array, m, tmp_path / "array.txt")
     for mutant in mutants(array):
         assert_cli_matches_reference(mutant, m, tmp_path / "array.txt")
@@ -98,11 +108,11 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("root-sums")
 
 
-@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("base", INPUTS)
 @settings(max_examples=20)
 @given(data=st.data())
 def test_root_sum_audits_match_the_reference_on_rewritten_arrays(workdir, base, data):
-    array, m = BASES[base]
+    array, m = INPUTS[base]
     rows = data.draw(st.permutations(range(array.N)), label="rows")
     columns = data.draw(st.permutations(range(array.k)), label="columns")
     symbols = data.draw(
