@@ -21,6 +21,7 @@ from functools import cache, cached_property
 from itertools import combinations
 from math import gcd
 from operator import mul, sub
+from typing import NamedTuple
 
 from .arrays import (
     normalize_repeated_row,
@@ -84,9 +85,12 @@ def _fmt_poly(p):
     return _fmt_vec(p)
 
 
-@dataclass(frozen=True)
-class Check:
-    """One verified identity: `lhs` is computed, `rhs` predicted."""
+class Check(NamedTuple):
+    """One verified identity: `lhs` is computed, `rhs` predicted.
+
+    A Check is a named tuple, so it also equals the plain 4-tuple of its
+    fields, (check_id, lhs, rhs, passed).
+    """
 
     check_id: str
     lhs: str
@@ -453,12 +457,21 @@ class RootVectorFamily:
     One length-N vector per (column, multiplier) pair plus the all-zeros
     vector: entry i of vector (j, m) is m * array[i][j] mod n.
 
+    Each vector's value pattern splits its coordinates into classes, one
+    per symbol, numbered by first occurrence.  When two vectors share a
+    pattern (a self-product, or two multipliers of one column of an array
+    over a prime n), or either is constant (C0), `product` sums over the
+    classes, each weighted by its size, and never visits a coordinate.
+    Every other pair is counted coordinate by coordinate.
+
     Coordinates on which every vector agrees, such as the copies of a
-    repeated row, form groups.  With g the gcd of the group sizes, `product`
-    visits size/g coordinates of each group and counts each one g times, so
-    an array whose row multiplicities share the factor g is counted over
-    N/g coordinates.  The fold is derived from `vectors` alone, once per
-    family; vectors of differing lengths get g = 1.
+    repeated row, form groups.  With g the gcd of the group sizes, that
+    count visits size/g coordinates of each group and counts each one g
+    times, so an array whose row multiplicities share the factor g is
+    counted over N/g coordinates.
+
+    The pattern table and the fold are derived from `vectors` alone, once
+    per family.  Vectors of differing lengths get no table and g = 1.
     """
 
     n: int
@@ -466,6 +479,21 @@ class RootVectorFamily:
     N: int
     labels: tuple
     vectors: tuple
+
+    @cached_property
+    def _patterns(self):
+        """(pattern id, symbol on each class, class sizes) per vector, or None."""
+        if len(set(map(len, self.vectors))) > 1:
+            return None
+        ids = {}
+        table = []
+        for v in self.vectors:
+            symbols = tuple(dict.fromkeys(v))  # in order of first occurrence
+            number = {s: i for i, s in enumerate(symbols)}
+            pattern = ids.setdefault(tuple(map(number.__getitem__, v)), len(ids))
+            sizes = Counter(v)
+            table.append((pattern, symbols, tuple(map(sizes.__getitem__, symbols))))
+        return table
 
     @cached_property
     def _fold(self):
@@ -496,9 +524,20 @@ class RootVectorFamily:
         >>> doubled.product(1, 2), doubled.product(1, 1)
         ((4, 4), (8, 0))
         """
-        g, vectors = self._fold
         n = self.n
         counts = [0] * n
+        table = self._patterns
+        if table is not None:
+            (pa, us, sizes), (pb, vs, sizes_b) = table[a], table[b]
+            if len(vs) == 1:  # b is constant: its symbol on every class of a
+                pb, vs = pa, vs * len(us)
+            elif len(us) == 1:
+                pa, us, sizes = pb, us * len(vs), sizes_b
+            if pa == pb:
+                for u, v, size in zip(us, vs, sizes):
+                    counts[(u - v) % n] += size
+                return tuple(counts)
+        g, vectors = self._fold
         for u, v in zip(vectors[a], vectors[b]):
             counts[(u - v) % n] += g
         return tuple(counts)
@@ -526,23 +565,26 @@ def root_vector_family(array):
 def _orthogonality_report(family, method, implied_rhs, canonical, notes=()):
     n, k = family.n, family.k
     size = len(family.vectors)
-    # Residual of each distinct count tuple, kept for this call only: most
-    # products share a few count vectors, and the memo never outlives the audit.
+    # Residual and its text for each distinct count tuple, kept for this call
+    # only: most products share a few count vectors, and the memo never
+    # outlives the audit.
     @cache
     def reduce(counts):
-        return reduce_root_sum(counts, n)
+        reduced = reduce_root_sum(counts, n)
+        return reduced, _fmt_poly(reduced)
 
+    labels, product, N = family.labels, family.product, family.N
+    total = str(N)
     checks = [_eq_check("family-size", size, 1 + k * (n - 1))]
     for a in range(size):
-        reduced = reduce(family.product(a, a))
-        label = f"self@{family.labels[a]}"
-        checks.append(Check(label, _fmt_poly(reduced), str(family.N), reduced == (family.N,)))
+        reduced, text = reduce(product(a, a))
+        checks.append(Check(f"self@{labels[a]}", text, total, reduced == (N,)))
     pair = residual = None
     for a, b in combinations(range(size), 2):
-        reduced = reduce(family.product(a, b))
+        reduced, text = reduce(product(a, b))
         ok = reduced == ()
-        la, lb = family.labels[a], family.labels[b]
-        checks.append(Check(f"orth@{la},{lb}", _fmt_poly(reduced), "0", ok))
+        la, lb = labels[a], labels[b]
+        checks.append(Check(f"orth@{la},{lb}", text, "0", ok))
         if not ok and pair is None:
             pair, residual = (la, lb), reduced
     report = AuditReport(method, tuple(checks), 1 + k * (n - 1), implied_rhs, canonical, notes)

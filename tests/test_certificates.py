@@ -62,6 +62,19 @@ def forge(array):
     return OrthogonalArray(array.n, array.k, tuple(rows))
 
 
+def test_check_is_an_immutable_record_of_four_fields():
+    check = Check("orth@C0,1C1", "(-2,-1)", "0", False)
+    assert Check._fields == ("check_id", "lhs", "rhs", "passed")
+    assert repr(check) == "Check(check_id='orth@C0,1C1', lhs='(-2,-1)', rhs='0', passed=False)"
+    same = Check(check_id="orth@C0,1C1", lhs="(-2,-1)", rhs="0", passed=False)
+    assert check == same and hash(check) == hash(same)
+    assert check != Check("orth@C0,1C1", "(-2,-1)", "0", True)
+    assert check == ("orth@C0,1C1", "(-2,-1)", "0", False)
+    with pytest.raises(AttributeError):
+        check.passed = True
+    assert check.passed is False
+
+
 @pytest.mark.parametrize(
     "audit",
     [
@@ -445,11 +458,23 @@ def test_product_of_a_hand_built_family_is_the_zip_loop(n, size, data):
     repeats = data.draw(st.lists(st.integers(1, 6), min_size=len(distinct), max_size=len(distinct)))
     coordinates = [c for c, r in zip(distinct, repeats) for _ in range(r)]
     coordinates = data.draw(st.permutations(coordinates), label="order")
-    vectors = tuple(zip(*coordinates))
-    labels = tuple(f"v{i}" for i in range(size))
+    drawn = tuple(zip(*coordinates))
+    # A copy of one drawn vector under a bijection of the symbols shares its
+    # pattern, and a constant vector pairs with every pattern; two drawn
+    # vectors of different patterns take the coordinate loop.
+    copied = data.draw(st.integers(0, size - 1), label="copied")
+    renamed = data.draw(st.permutations(range(n)), label="renamed")
+    constant = data.draw(st.integers(0, n - 1), label="constant")
+    vectors = (
+        *drawn,
+        tuple(map(renamed.__getitem__, drawn[copied])),
+        (constant,) * len(coordinates),
+    )
+    labels = tuple(f"v{i}" for i in range(len(vectors)))
     family = RootVectorFamily(n, 1, len(coordinates), labels, vectors)
     assert_products_match_zip_loop(family)
     assert family.vectors == vectors
+    assert family._patterns[copied][0] == family._patterns[size][0]
 
 
 @pytest.mark.parametrize(
@@ -459,11 +484,45 @@ def test_product_of_a_hand_built_family_is_the_zip_loop(n, size, data):
 )
 def test_product_of_odd_hand_built_families_is_the_zip_loop(vectors):
     # Vectors of differing lengths, or of length 0, are not folded: their
-    # products stay the zip loop's, cut at the shorter vector.
+    # products stay the zip loop's, cut at the shorter vector.  Vectors of
+    # differing lengths get no pattern table either.
     labels = tuple(f"v{i}" for i in range(len(vectors)))
     family = RootVectorFamily(3, 1, 4, labels, vectors)
     assert_products_match_zip_loop(family)
     assert family._fold == (1, vectors)
+    assert (family._patterns is None) == (len(set(map(len, vectors))) > 1)
+
+
+def short_path_pairs(family):
+    """The pairs a < b whose products `family` counts without reading its fold."""
+    family.__dict__["_fold"] = None  # the coordinate loop cannot unpack it
+    pairs = []
+    for a, b in itertools.combinations(range(len(family.vectors)), 2):
+        try:
+            family.product(a, b)
+        except TypeError:
+            continue
+        pairs.append((a, b))
+    del family.__dict__["_fold"]
+    return pairs
+
+
+@pytest.mark.parametrize("forged", [False, True], ids=["valid", "one-cell-forgery"])
+def test_pattern_table_has_one_pattern_per_column_and_one_for_c0(forged):
+    # over a prime n every multiplier of a column keeps its partition
+    array = generate_linear_oa(13, 14)
+    family = root_vector_family(shift_cell(array, 5, 0) if forged else array)
+    assert len({pattern for pattern, _, _ in family._patterns}) == 15
+
+
+def test_short_path_takes_the_c0_and_same_column_pairs():
+    # C0 with the 168 others, and the 12 * 11 / 2 multiplier pairs of each
+    # of the 14 columns
+    family = root_vector_family(generate_linear_oa(13, 14))
+    pairs = short_path_pairs(family)
+    assert len(pairs) == 168 + 14 * 66 == 1092
+    for a, b in pairs:
+        assert family.product(a, b) == zip_product(family, a, b), (a, b)
 
 
 def test_fold_factor_is_the_gcd_of_the_row_multiplicities(parity, stacked_parity, oa43, oa353_m2):

@@ -10,12 +10,20 @@ that are 0 in every vector; its implied bound is N - m + 1.
 
 import contextlib
 import io
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oakit import format_oa, normalize_repeated_row, reduce_root_sum, stack
+from oakit import (
+    OrthogonalArray,
+    format_oa,
+    generate_linear_oa,
+    normalize_repeated_row,
+    reduce_root_sum,
+    stack,
+)
 from oakit.cli import REPORT_HEADER, main
 from test_invariance import BASES, relabelled
 from test_mutations import mutants
@@ -24,10 +32,17 @@ from test_mutations import mutants
 # that the audits count over N/g coordinates: oa43 with every row 3 times
 # (g = 3), and oa353_m2 twice, with multiplicities 2 and 4 (g = 2).  Their
 # forged cells break a group of repeated rows, which takes g back to 1.
+# Products of vectors with one value pattern are summed over the pattern's
+# classes, numbered by first occurrence, which depends on row order: so also
+# oa65 with its rows shuffled, and a one-cell forgery of that.
+OA65_SHUFFLED = generate_linear_oa(5, 6)
+OA65_SHUFFLED = OrthogonalArray(5, 6, tuple(random.Random(0).sample(OA65_SHUFFLED.rows, 25)))
 INPUTS = {
     **BASES,
     "stacked_oa43": (stack(BASES["oa43"][0], 3), 3),
     "stacked_oa353_m2": (stack(BASES["oa353_m2"][0], 2), 4),
+    "shuffled_oa65": (OA65_SHUFFLED, 1),
+    "forged_shuffled_oa65": (next(mutants(OA65_SHUFFLED)), 1),
 }
 
 
