@@ -14,12 +14,10 @@ m(k(n-1)+1) <= N (with m = 1 where no repeated row is involved), so their
 conclusions can be cross-checked for agreement.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
-from math import gcd
 from operator import mul, sub
 from typing import NamedTuple
 
@@ -166,7 +164,10 @@ def _require(report, failure):
         )
     exc = failure(bad)
     exc.report, exc.check_id = report, bad.check_id
-    raise exc
+    try:
+        raise exc
+    finally:
+        del exc  # the traceback holds this frame: a local here would make a cycle
 
 
 def _index_of(array):
@@ -457,21 +458,14 @@ class RootVectorFamily:
     One length-N vector per (column, multiplier) pair plus the all-zeros
     vector: entry i of vector (j, m) is m * array[i][j] mod n.
 
-    Each vector's value pattern splits its coordinates into classes, one
-    per symbol, numbered by first occurrence.  When two vectors share a
-    pattern (a self-product, or two multipliers of one column of an array
-    over a prime n), or either is constant (C0), `product` sums over the
-    classes, each weighted by its size, and never visits a coordinate.
-    Every other pair is counted coordinate by coordinate.
-
-    Coordinates on which every vector agrees, such as the copies of a
-    repeated row, form groups.  With g the gcd of the group sizes, that
-    count visits size/g coordinates of each group and counts each one g
-    times, so an array whose row multiplicities share the factor g is
-    counted over N/g coordinates.
-
-    The pattern table and the fold are derived from `vectors` alone, once
-    per family.  Vectors of differing lengths get no table and g = 1.
+    Vectors (j, m) and (j, n - m) are complex conjugates: each is the
+    other's negation mod n.  Negating both vectors of a product negates
+    every difference, so the conjugate pair of a product has its counts
+    with entries e and n - e swapped.  The family finds each vector's
+    negation among its own `vectors`, by value; `product` counts a pair
+    coordinate by coordinate, keeps the counts while their conjugate pair
+    is still to come, and returns that pair swapped, without a loop.  Over
+    n = 2 every vector is its own negation, so nothing pairs.
     """
 
     n: int
@@ -481,66 +475,39 @@ class RootVectorFamily:
     vectors: tuple
 
     @cached_property
-    def _patterns(self):
-        """(pattern id, symbol on each class, class sizes) per vector, or None."""
-        if len(set(map(len, self.vectors))) > 1:
-            return None
-        ids = {}
-        table = []
-        for v in self.vectors:
-            symbols = tuple(dict.fromkeys(v))  # in order of first occurrence
-            number = {s: i for i, s in enumerate(symbols)}
-            pattern = ids.setdefault(tuple(map(number.__getitem__, v)), len(ids))
-            sizes = Counter(v)
-            table.append((pattern, symbols, tuple(map(sizes.__getitem__, symbols))))
-        return table
+    def _conjugates(self):
+        """Index of each vector's negation mod n in `vectors`, or None."""
+        n = self.n
+        index = {v: i for i, v in enumerate(self.vectors)}
+        return [index.get(tuple((-e) % n for e in v)) for v in self.vectors]
 
     @cached_property
-    def _fold(self):
-        """(g, the vectors cut to the coordinates `product` visits)."""
-        if len(set(map(len, self.vectors))) > 1:
-            return 1, self.vectors
-        coordinates = list(zip(*self.vectors))
-        sizes = Counter(coordinates)
-        g = gcd(*sizes.values())
-        if g < 2:
-            return 1, self.vectors
-        left = {c: size // g for c, size in sizes.items()}
-        kept = []
-        for i, c in enumerate(coordinates):
-            if left[c]:
-                left[c] -= 1
-                kept.append(i)
-        return g, tuple(tuple(map(v.__getitem__, kept)) for v in self.vectors)
+    def _pending(self):
+        """Counts kept for the conjugate pair of a counted product, by that pair."""
+        return {}
 
     def product(self, a, b):
         """Hermitian product of vectors a and b: entry e counts coordinates with u - v = e mod n.
 
-        >>> from oakit import generate_linear_oa, stack
-        >>> family = root_vector_family(generate_linear_oa(2, 3))
-        >>> family.product(1, 2), family.product(1, 1)
-        ((2, 2), (4, 0))
-        >>> doubled = root_vector_family(stack(generate_linear_oa(2, 3), 2))
-        >>> doubled.product(1, 2), doubled.product(1, 1)
-        ((4, 4), (8, 0))
+        >>> vectors = ((0, 0, 0, 0), (0, 1, 1, 2), (0, 2, 2, 1))
+        >>> family = RootVectorFamily(3, 1, 4, ("C0", "1C1", "2C1"), vectors)
+        >>> family.product(1, 0), family.product(2, 0)  # the second is the first swapped
+        ((1, 2, 1), (1, 1, 2))
+        >>> family.product(1, 1), family.product(1, 2)
+        ((4, 0, 0), (1, 1, 2))
         """
+        counts = self._pending.pop((a, b), None)
+        if counts is not None:
+            return counts[:1] + counts[:0:-1]
         n = self.n
         counts = [0] * n
-        table = self._patterns
-        if table is not None:
-            (pa, us, sizes), (pb, vs, sizes_b) = table[a], table[b]
-            if len(vs) == 1:  # b is constant: its symbol on every class of a
-                pb, vs = pa, vs * len(us)
-            elif len(us) == 1:
-                pa, us, sizes = pb, us * len(vs), sizes_b
-            if pa == pb:
-                for u, v, size in zip(us, vs, sizes):
-                    counts[(u - v) % n] += size
-                return tuple(counts)
-        g, vectors = self._fold
-        for u, v in zip(vectors[a], vectors[b]):
-            counts[(u - v) % n] += g
-        return tuple(counts)
+        for u, v in zip(self.vectors[a], self.vectors[b]):
+            counts[(u - v) % n] += 1
+        counts = tuple(counts)
+        pair = self._conjugates[a], self._conjugates[b]
+        if None not in pair and pair != (a, b):
+            self._pending[pair] = counts
+        return counts
 
 
 def root_vector_family(array):

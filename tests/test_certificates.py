@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -41,6 +43,7 @@ from oakit import (
     to_transversal_design,
     variance_audit,
 )
+from test_root_sum_reference import LATIN4
 
 
 def corrupt(array):
@@ -452,29 +455,26 @@ def assert_products_match_zip_loop(family):
 @given(n=st.integers(2, 5), size=st.integers(1, 4), data=st.data())
 def test_product_of_a_hand_built_family_is_the_zip_loop(n, size, data):
     # Distinct coordinates (columns of the vectors), each repeated some number
-    # of times and shuffled: with or without a shared factor g in the repeats.
+    # of times and shuffled.
     symbols = st.tuples(*[st.integers(0, n - 1)] * size)
     distinct = data.draw(st.lists(symbols, min_size=1, max_size=6, unique=True), label="coords")
     repeats = data.draw(st.lists(st.integers(1, 6), min_size=len(distinct), max_size=len(distinct)))
     coordinates = [c for c, r in zip(distinct, repeats) for _ in range(r)]
     coordinates = data.draw(st.permutations(coordinates), label="order")
     drawn = tuple(zip(*coordinates))
-    # A copy of one drawn vector under a bijection of the symbols shares its
-    # pattern, and a constant vector pairs with every pattern; two drawn
-    # vectors of different patterns take the coordinate loop.
-    copied = data.draw(st.integers(0, size - 1), label="copied")
-    renamed = data.draw(st.permutations(range(n)), label="renamed")
+    # The negation of one drawn vector is its conjugate, so the family holds
+    # conjugate pairs; a constant vector is one more.
+    negated = data.draw(st.integers(0, size - 1), label="negated")
     constant = data.draw(st.integers(0, n - 1), label="constant")
-    vectors = (
-        *drawn,
-        tuple(map(renamed.__getitem__, drawn[copied])),
-        (constant,) * len(coordinates),
-    )
+    vectors = (*drawn, tuple((-e) % n for e in drawn[negated]), (constant,) * len(coordinates))
     labels = tuple(f"v{i}" for i in range(len(vectors)))
     family = RootVectorFamily(n, 1, len(coordinates), labels, vectors)
-    assert_products_match_zip_loop(family)
+    # every ordered pair twice, in a drawn order: a product may come before
+    # or after its conjugate pair, or again after it
+    pairs = list(itertools.product(range(len(vectors)), repeat=2)) * 2
+    for a, b in data.draw(st.permutations(pairs), label="queries"):
+        assert family.product(a, b) == zip_product(family, a, b), (a, b)
     assert family.vectors == vectors
-    assert family._patterns[copied][0] == family._patterns[size][0]
 
 
 @pytest.mark.parametrize(
@@ -483,59 +483,63 @@ def test_product_of_a_hand_built_family_is_the_zip_loop(n, size, data):
     ids=["short-last", "short-first", "empty"],
 )
 def test_product_of_odd_hand_built_families_is_the_zip_loop(vectors):
-    # Vectors of differing lengths, or of length 0, are not folded: their
-    # products stay the zip loop's, cut at the shorter vector.  Vectors of
-    # differing lengths get no pattern table either.
+    # Vectors of differing lengths, or of length 0: products stay the zip
+    # loop's, cut at the shorter vector.
     labels = tuple(f"v{i}" for i in range(len(vectors)))
     family = RootVectorFamily(3, 1, 4, labels, vectors)
     assert_products_match_zip_loop(family)
-    assert family._fold == (1, vectors)
-    assert (family._patterns is None) == (len(set(map(len, vectors))) > 1)
-
-
-def short_path_pairs(family):
-    """The pairs a < b whose products `family` counts without reading its fold."""
-    family.__dict__["_fold"] = None  # the coordinate loop cannot unpack it
-    pairs = []
-    for a, b in itertools.combinations(range(len(family.vectors)), 2):
-        try:
-            family.product(a, b)
-        except TypeError:
-            continue
-        pairs.append((a, b))
-    del family.__dict__["_fold"]
-    return pairs
 
 
 @pytest.mark.parametrize("forged", [False, True], ids=["valid", "one-cell-forgery"])
-def test_pattern_table_has_one_pattern_per_column_and_one_for_c0(forged):
-    # over a prime n every multiplier of a column keeps its partition
+def test_conjugate_pairs_of_the_linear_family(forged):
+    # C0 is its own negation and (13 - alpha) * x_j = -(alpha * x_j) mod 13,
+    # whatever the column holds
     array = generate_linear_oa(13, 14)
     family = root_vector_family(shift_cell(array, 5, 0) if forged else array)
-    assert len({pattern for pattern, _, _ in family._patterns}) == 15
+    labels = family.labels
+    conjugates = {labels[i]: labels[c] for i, c in enumerate(family._conjugates)}
+    expected = {"C0": "C0"}
+    expected.update(
+        (f"{alpha}C{j}", f"{13 - alpha}C{j}") for j in range(1, 15) for alpha in range(1, 13)
+    )
+    assert conjugates == expected
 
 
-def test_short_path_takes_the_c0_and_same_column_pairs():
-    # C0 with the 168 others, and the 12 * 11 / 2 multiplier pairs of each
-    # of the 14 columns
-    family = root_vector_family(generate_linear_oa(13, 14))
-    pairs = short_path_pairs(family)
-    assert len(pairs) == 168 + 14 * 66 == 1092
-    for a, b in pairs:
-        assert family.product(a, b) == zip_product(family, a, b), (a, b)
+class CountedPending(dict):
+    """A conjugate-pair memo that counts the products it hands back."""
+
+    derived = 0
+
+    def pop(self, key, default=None):
+        self.derived += key in self
+        return super().pop(key, default)
 
 
-def test_fold_factor_is_the_gcd_of_the_row_multiplicities(parity, stacked_parity, oa43, oa353_m2):
-    assert root_vector_family(stacked_parity)._fold[0] == 2
-    assert root_vector_family(stack(oa43, 3))._fold[0] == 3
-    assert root_vector_family(parity)._fold[0] == 1
-    assert root_vector_family(shift_cell(stacked_parity, 0, 0))._fold[0] == 1
-    # multiplicities 2 and 4: g = 2, and each product is still the zip loop's
-    doubled = root_vector_family(stack(oa353_m2, 2))
-    assert doubled._fold[0] == 2
-    assert len(doubled._fold[1][0]) == doubled.N // 2
-    assert_products_match_zip_loop(doubled)
-    for array in (stack(oa43, 3), shift_cell(stacked_parity, 0, 0)):
+@pytest.mark.parametrize(
+    "array, products, loops",
+    [
+        (generate_linear_oa(13, 14), 14365, 7645),
+        (stack(generate_linear_oa(11, 12), 2), 7381, 3961),
+        (LATIN4, 55, 37),
+    ],
+    ids=["linear-13-14", "stacked-11-12", "latin-square-4"],
+)
+def test_one_audit_counts_each_conjugate_pair_once(array, products, loops):
+    # Of each two products that are conjugate pairs, the audit counts the
+    # first it asks and derives the second.  A product that is its own
+    # conjugate pair (C0 with itself, 2Cj with 2Cj' over n = 4) and every
+    # same-column pair (alpha < beta; (n - alpha, n - beta) is never asked)
+    # is counted.
+    family = root_vector_family(array)
+    pending = family.__dict__["_pending"] = CountedPending()
+    report = orthogonality_certificate(family)
+    assert len(report.checks) - 1 == products
+    assert products - pending.derived == loops
+
+
+def test_products_of_repeated_rows_are_the_zip_loop(stacked_parity, oa43, oa353_m2):
+    # multiplicities 2 and 4, every row three times, and a broken pair of copies
+    for array in (stack(oa353_m2, 2), stack(oa43, 3), shift_cell(stacked_parity, 0, 0)):
         assert_products_match_zip_loop(root_vector_family(array))
 
 
@@ -554,6 +558,20 @@ def test_orthogonality_detects_corruption(parity):
         orthogonality_certificate(family)
     assert exc.value.pair is not None
     assert exc.value.residual  # nonzero remainder modulo the cyclotomic
+
+
+def test_a_failing_audit_leaves_no_reference_cycle(parity):
+    # With the cyclic collector off, the report a failing audit carries dies
+    # with its exception, when the handler ends.
+    gc.disable()
+    try:
+        try:
+            orthogonality_certificate(root_vector_family(corrupt(parity)))
+        except NonOrthogonal as exc:
+            report = weakref.ref(exc.report)
+        assert report() is None
+    finally:
+        gc.enable()
 
 
 def test_shortened_family_certificate(stacked_parity, oa353_m2):

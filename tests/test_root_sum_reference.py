@@ -28,21 +28,23 @@ from oakit.cli import REPORT_HEADER, main
 from test_invariance import BASES, relabelled
 from test_mutations import mutants
 
-# Besides BASES, two arrays whose row multiplicities share a factor g > 1, so
-# that the audits count over N/g coordinates: oa43 with every row 3 times
-# (g = 3), and oa353_m2 twice, with multiplicities 2 and 4 (g = 2).  Their
-# forged cells break a group of repeated rows, which takes g back to 1.
-# Products of vectors with one value pattern are summed over the pattern's
-# classes, numbered by first occurrence, which depends on row order: so also
-# oa65 with its rows shuffled, and a one-cell forgery of that.
+# Besides BASES: oa43 with every row 3 times and oa353_m2 twice (row
+# multiplicities 2 and 4), oa65 with its rows shuffled and a one-cell forgery
+# of that, and the order-4 cyclic Latin square, rows (x, y, x + y mod 4), with
+# its first one-cell mutant.  Over n = 4 the multiplier 2 is its own negation
+# mod 4 and maps two symbols together, so each vector 2Cj is its own
+# conjugate and holds only the symbols 0 and 2.
 OA65_SHUFFLED = generate_linear_oa(5, 6)
 OA65_SHUFFLED = OrthogonalArray(5, 6, tuple(random.Random(0).sample(OA65_SHUFFLED.rows, 25)))
+LATIN4 = OrthogonalArray(4, 3, tuple((x, y, (x + y) % 4) for x in range(4) for y in range(4)))
 INPUTS = {
     **BASES,
     "stacked_oa43": (stack(BASES["oa43"][0], 3), 3),
     "stacked_oa353_m2": (stack(BASES["oa353_m2"][0], 2), 4),
     "shuffled_oa65": (OA65_SHUFFLED, 1),
     "forged_shuffled_oa65": (next(mutants(OA65_SHUFFLED)), 1),
+    "latin4": (LATIN4, 1),
+    "forged_latin4": (next(mutants(LATIN4)), 1),
 }
 
 
