@@ -16,7 +16,7 @@ conclusions can be cross-checked for agreement.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations
 from operator import mul, sub
 from typing import NamedTuple
@@ -456,16 +456,8 @@ class RootVectorFamily:
     """Exponent vectors whose pairwise hermitian products certify a bound.
 
     One length-N vector per (column, multiplier) pair plus the all-zeros
-    vector: entry i of vector (j, m) is m * array[i][j] mod n.
-
-    Vectors (j, m) and (j, n - m) are complex conjugates: each is the
-    other's negation mod n.  Negating both vectors of a product negates
-    every difference, so the conjugate pair of a product has its counts
-    with entries e and n - e swapped.  The family finds each vector's
-    negation among its own `vectors`, by value; `product` counts a pair
-    coordinate by coordinate, keeps the counts while their conjugate pair
-    is still to come, and returns that pair swapped, without a loop.  Over
-    n = 2 every vector is its own negation, so nothing pairs.
+    vector: entry i of vector (j, m) is m * array[i][j] mod n.  A plain
+    value: `product` counts one pair of vectors and keeps nothing.
     """
 
     n: int
@@ -474,40 +466,21 @@ class RootVectorFamily:
     labels: tuple
     vectors: tuple
 
-    @cached_property
-    def _conjugates(self):
-        """Index of each vector's negation mod n in `vectors`, or None."""
-        n = self.n
-        index = {v: i for i, v in enumerate(self.vectors)}
-        return [index.get(tuple((-e) % n for e in v)) for v in self.vectors]
-
-    @cached_property
-    def _pending(self):
-        """Counts kept for the conjugate pair of a counted product, by that pair."""
-        return {}
-
     def product(self, a, b):
         """Hermitian product of vectors a and b: entry e counts coordinates with u - v = e mod n.
 
         >>> vectors = ((0, 0, 0, 0), (0, 1, 1, 2), (0, 2, 2, 1))
         >>> family = RootVectorFamily(3, 1, 4, ("C0", "1C1", "2C1"), vectors)
-        >>> family.product(1, 0), family.product(2, 0)  # the second is the first swapped
+        >>> family.product(1, 0), family.product(2, 0)
         ((1, 2, 1), (1, 1, 2))
         >>> family.product(1, 1), family.product(1, 2)
         ((4, 0, 0), (1, 1, 2))
         """
-        counts = self._pending.pop((a, b), None)
-        if counts is not None:
-            return counts[:1] + counts[:0:-1]
         n = self.n
         counts = [0] * n
         for u, v in zip(self.vectors[a], self.vectors[b]):
             counts[(u - v) % n] += 1
-        counts = tuple(counts)
-        pair = self._conjugates[a], self._conjugates[b]
-        if None not in pair and pair != (a, b):
-            self._pending[pair] = counts
-        return counts
+        return tuple(counts)
 
 
 def root_vector_family(array):
@@ -540,7 +513,31 @@ def _orthogonality_report(family, method, implied_rhs, canonical, notes=()):
         reduced = reduce_root_sum(counts, n)
         return reduced, _fmt_poly(reduced)
 
-    labels, product, N = family.labels, family.product, family.N
+    # Vectors alpha Cj and (n - alpha) Cj are conjugates, each the other's
+    # negation mod n.  With a' and b' the negations of a and b, every
+    # difference of (a', b') is negated: (b', a') has the counts of (a, b)
+    # and (a', b') has them with entries e and n - e swapped.  The twin of
+    # (a, b) is whichever of the two the audit asks; for a same-column pair
+    # (alpha, beta) that is (n - beta, n - alpha).  Counts wait in `twins`
+    # only for a twin that the audit asks later (self products first, then
+    # a < b) and leave when it is asked: about half the products skip the
+    # coordinate loop, and this memo too is empty when the audit returns.
+    labels, vectors, count, N = family.labels, family.vectors, family.product, family.N
+    index = {v: i for i, v in enumerate(vectors)}
+    negation = [index.get(tuple((-e) % n for e in v)) for v in vectors]
+    twins = {}
+
+    def product(a, b):
+        counts = twins.pop((a, b), None)
+        if counts is None:
+            counts = count(a, b)
+            a2, b2 = negation[a], negation[b]
+            if None not in (a2, b2):
+                twin = min(a2, b2), max(a2, b2)
+                if (twin[0] < twin[1], twin) > (a < b, (a, b)):
+                    twins[twin] = counts[:1] + counts[:0:-1] if a2 <= b2 else counts
+        return counts
+
     total = str(N)
     checks = [_eq_check("family-size", size, 1 + k * (n - 1))]
     for a in range(size):

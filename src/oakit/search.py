@@ -532,8 +532,12 @@ def _kernel(n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=N
 
 
 def _pool_size(workers, tasks):
-    """Processes worth starting: no more than the tasks on hand or the CPUs."""
-    return min(workers, tasks, os.cpu_count() or 1)
+    """Processes worth starting: no more than the tasks on hand or the CPUs this process may use."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(workers, tasks, cpus)
 
 
 def _ends_search(res, mode):

@@ -37,13 +37,14 @@ from oakit import (
     normalize_to_row,
     orthogonality_certificate,
     rank_bound_certificate,
+    reduce_root_sum,
     root_vector_family,
     shortened_family_certificate,
     stack,
     to_transversal_design,
     variance_audit,
 )
-from test_root_sum_reference import LATIN4
+from test_root_sum_reference import LATIN4, REPEATED_COLUMN, _poly
 
 
 def corrupt(array):
@@ -452,6 +453,21 @@ def assert_products_match_zip_loop(family):
         assert family.product(a, b) == zip_product(family, a, b), (a, b)
 
 
+def shift_cell(array, i, j):
+    """Add 1 mod n to cell (i, j): a one-cell forgery."""
+    rows = [list(r) for r in array.rows]
+    rows[i][j] = (rows[i][j] + 1) % array.n
+    return OrthogonalArray(array.n, array.k, tuple(tuple(r) for r in rows))
+
+
+def audit_report(audit, *args):
+    """The audit's report, taken from its NonOrthogonal when it fails."""
+    try:
+        return audit(*args)
+    except NonOrthogonal as exc:
+        return exc.report
+
+
 @given(n=st.integers(2, 5), size=st.integers(1, 4), data=st.data())
 def test_product_of_a_hand_built_family_is_the_zip_loop(n, size, data):
     # Distinct coordinates (columns of the vectors), each repeated some number
@@ -462,19 +478,28 @@ def test_product_of_a_hand_built_family_is_the_zip_loop(n, size, data):
     coordinates = [c for c, r in zip(distinct, repeats) for _ in range(r)]
     coordinates = data.draw(st.permutations(coordinates), label="order")
     drawn = tuple(zip(*coordinates))
-    # The negation of one drawn vector is its conjugate, so the family holds
-    # conjugate pairs; a constant vector is one more.
+    # One drawn vector twice, so two labels hold one value; the negation of
+    # one drawn vector, so the family holds conjugates; a constant vector.
+    duplicated = data.draw(st.integers(0, size - 1), label="duplicated")
     negated = data.draw(st.integers(0, size - 1), label="negated")
     constant = data.draw(st.integers(0, n - 1), label="constant")
-    vectors = (*drawn, tuple((-e) % n for e in drawn[negated]), (constant,) * len(coordinates))
+    vectors = (
+        *drawn,
+        drawn[duplicated],
+        tuple((-e) % n for e in drawn[negated]),
+        (constant,) * len(coordinates),
+    )
     labels = tuple(f"v{i}" for i in range(len(vectors)))
     family = RootVectorFamily(n, 1, len(coordinates), labels, vectors)
-    # every ordered pair twice, in a drawn order: a product may come before
-    # or after its conjugate pair, or again after it
-    pairs = list(itertools.product(range(len(vectors)), repeat=2)) * 2
-    for a, b in data.draw(st.permutations(pairs), label="queries"):
-        assert family.product(a, b) == zip_product(family, a, b), (a, b)
+    assert_products_match_zip_loop(family)
     assert family.vectors == vectors
+    # The audit derives every twin it can: each CHECK must still read the
+    # residual of the zip loop, whether or not the audit passes.
+    checks = audit_report(orthogonality_certificate, family).checks
+    asked = [(a, a) for a in range(len(vectors))]
+    asked += itertools.combinations(range(len(vectors)), 2)
+    expected = [_poly(reduce_root_sum(zip_product(family, a, b), n)) for a, b in asked]
+    assert [c.lhs for c in checks[1:]] == expected
 
 
 @pytest.mark.parametrize(
@@ -490,51 +515,44 @@ def test_product_of_odd_hand_built_families_is_the_zip_loop(vectors):
     assert_products_match_zip_loop(family)
 
 
-@pytest.mark.parametrize("forged", [False, True], ids=["valid", "one-cell-forgery"])
-def test_conjugate_pairs_of_the_linear_family(forged):
-    # C0 is its own negation and (13 - alpha) * x_j = -(alpha * x_j) mod 13,
-    # whatever the column holds
-    array = generate_linear_oa(13, 14)
-    family = root_vector_family(shift_cell(array, 5, 0) if forged else array)
-    labels = family.labels
-    conjugates = {labels[i]: labels[c] for i, c in enumerate(family._conjugates)}
-    expected = {"C0": "C0"}
-    expected.update(
-        (f"{alpha}C{j}", f"{13 - alpha}C{j}") for j in range(1, 15) for alpha in range(1, 13)
-    )
-    assert conjugates == expected
-
-
-class CountedPending(dict):
-    """A conjugate-pair memo that counts the products it hands back."""
-
-    derived = 0
-
-    def pop(self, key, default=None):
-        self.derived += key in self
-        return super().pop(key, default)
-
-
 @pytest.mark.parametrize(
     "array, products, loops",
     [
-        (generate_linear_oa(13, 14), 14365, 7645),
-        (stack(generate_linear_oa(11, 12), 2), 7381, 3961),
-        (LATIN4, 55, 37),
+        (generate_linear_oa(13, 14), 14365, 7225),
+        (shift_cell(generate_linear_oa(13, 14), 5, 0), 14365, 7225),
+        (stack(generate_linear_oa(11, 12), 2), 7381, 3721),
+        (LATIN4, 55, 34),
+        (REPEATED_COLUMN, 325, 207),
     ],
-    ids=["linear-13-14", "stacked-11-12", "latin-square-4"],
+    ids=[
+        "linear-13-14",
+        "one-cell-forgery-13-14",
+        "stacked-11-12",
+        "latin-square-4",
+        "repeated-column-5-6",
+    ],
 )
-def test_one_audit_counts_each_conjugate_pair_once(array, products, loops):
-    # Of each two products that are conjugate pairs, the audit counts the
-    # first it asks and derives the second.  A product that is its own
-    # conjugate pair (C0 with itself, 2Cj with 2Cj' over n = 4) and every
-    # same-column pair (alpha < beta; (n - alpha, n - beta) is never asked)
-    # is counted.
+def test_one_audit_counts_each_conjugate_pair_once(monkeypatch, array, products, loops):
+    # Of a product and its twin, the audit counts the one it asks first and
+    # derives the other.  A product that is its own twin is counted: C0 with
+    # C0, each (alpha Cj, (n - alpha) Cj), and over n = 4 every product among
+    # C0 and the self-conjugate vectors 2Cj.  Where two columns are equal
+    # (REPEATED_COLUMN), one vector value has two labels and the negation
+    # index keeps one of them.  These counts also pin each vector's negation
+    # on the q = 13 array and on its forgery.
+    loop, counted = RootVectorFamily.product, []
+
+    def product(family, a, b):
+        counted.append((a, b))
+        return loop(family, a, b)
+
+    monkeypatch.setattr(RootVectorFamily, "product", product)
     family = root_vector_family(array)
-    pending = family.__dict__["_pending"] = CountedPending()
-    report = orthogonality_certificate(family)
+    report = audit_report(orthogonality_certificate, family)
     assert len(report.checks) - 1 == products
-    assert products - pending.derived == loops
+    assert len(counted) == loops
+    # the family is a plain value: the audit leaves nothing in it
+    assert set(vars(family)) == {"n", "k", "N", "labels", "vectors"}
 
 
 def test_products_of_repeated_rows_are_the_zip_loop(stacked_parity, oa43, oa353_m2):
@@ -586,13 +604,6 @@ def test_shortened_family_certificate(stacked_parity, oa353_m2):
     assert any("sharpens" in note for note in report.notes)
 
 
-def shift_cell(array, i, j):
-    """Add 1 mod n to cell (i, j): a one-cell forgery."""
-    rows = [list(r) for r in array.rows]
-    rows[i][j] = (rows[i][j] + 1) % array.n
-    return OrthogonalArray(array.n, array.k, tuple(tuple(r) for r in rows))
-
-
 def merged_product(family, m, a, b):
     """The product of a and b with the last m coordinates merged into one of weight m."""
     u, v, N = family.vectors[a], family.vectors[b], family.N
@@ -600,14 +611,6 @@ def merged_product(family, m, a, b):
     for x, y, w in zip(u[: N - m + 1], v[: N - m + 1], [1] * (N - m) + [m]):
         counts[(x - y) % family.n] += w
     return tuple(counts)
-
-
-def audit_report(audit, *args):
-    """The audit's report, taken from its NonOrthogonal when it fails."""
-    try:
-        return audit(*args)
-    except NonOrthogonal as exc:
-        return exc.report
 
 
 @pytest.mark.parametrize("forged", [False, True], ids=["valid", "one-cell-forgery"])

@@ -33,10 +33,15 @@ from test_mutations import mutants
 # of that, and the order-4 cyclic Latin square, rows (x, y, x + y mod 4), with
 # its first one-cell mutant.  Over n = 4 the multiplier 2 is its own negation
 # mod 4 and maps two symbols together, so each vector 2Cj is its own
-# conjugate and holds only the symbols 0 and 2.
+# conjugate and holds only the symbols 0 and 2.  Last, oa65 with column 6
+# replaced by column 5: each vector alpha C5 equals alpha C6, so one vector
+# value has two labels, and both audits fail at orth@1C5,1C6.
 OA65_SHUFFLED = generate_linear_oa(5, 6)
 OA65_SHUFFLED = OrthogonalArray(5, 6, tuple(random.Random(0).sample(OA65_SHUFFLED.rows, 25)))
 LATIN4 = OrthogonalArray(4, 3, tuple((x, y, (x + y) % 4) for x in range(4) for y in range(4)))
+REPEATED_COLUMN = OrthogonalArray(
+    5, 6, tuple(row[:5] + row[4:5] for row in generate_linear_oa(5, 6).rows)
+)
 INPUTS = {
     **BASES,
     "stacked_oa43": (stack(BASES["oa43"][0], 3), 3),
@@ -45,6 +50,7 @@ INPUTS = {
     "forged_shuffled_oa65": (next(mutants(OA65_SHUFFLED)), 1),
     "latin4": (LATIN4, 1),
     "forged_latin4": (next(mutants(LATIN4)), 1),
+    "repeated_column_oa65": (REPEATED_COLUMN, 1),
 }
 
 

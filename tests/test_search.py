@@ -514,8 +514,17 @@ def test_parallel_wall_budget_never_reports_more_than_the_tree():
     ],
 )
 def test_pool_size_is_capped(monkeypatch, workers, tasks, cpus, size):
+    # where the affinity mask cannot be read, the host's CPU count caps the pool
+    monkeypatch.delattr(search_module.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(search_module.os, "cpu_count", lambda: cpus)
     assert search_module._pool_size(workers, tasks) == size
+
+
+def test_pool_size_counts_the_cpus_this_process_may_use(monkeypatch):
+    # pinned to one CPU of an 8-CPU host, as under `taskset -c 0`
+    monkeypatch.setattr(search_module.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(search_module.os, "cpu_count", lambda: 8)
+    assert search_module._pool_size(2, 5) == 1
 
 
 def test_subtree_search_honours_an_absolute_deadline():
