@@ -1,5 +1,6 @@
 import functools
 import gc
+import hashlib
 import itertools
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -715,6 +717,131 @@ def test_passed_wall_budget_stops_at_once(workers):
 
 
 # ---------------------------------------------------------------------------
+# subtree memo
+# ---------------------------------------------------------------------------
+
+
+class HitSizes(dict):
+    """A subtree memo that records the node count of each stored subtree it hands out."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def get(self, key):
+        got = super().get(key)
+        if got is not None:
+            self.sizes.append(got[0])
+        return got
+
+
+@pytest.mark.parametrize(
+    "spec,nodes,solutions",
+    [
+        (dict(n=2, k=6, lam=3, mode="count"), 74921, 2688),
+        (dict(n=2, k=5, lam=4, mode="count"), 66005, 1932),
+        (dict(n=3, k=5, lam=3, m=2), 11614, 1),
+        (dict(n=3, k=5, lam=3, m=3), 15149, 0),
+    ],
+)
+def test_memo_runs_agree_across_worker_counts(spec, nodes, solutions):
+    # each worker keeps one memo for all its chunks, so hits cross chunks
+    sequential = search_oa(SearchProblem(**spec))
+    assert (sequential.nodes_explored, sequential.solution_count) == (nodes, solutions)
+    assert search_oa(SearchProblem(**spec), workers=2) == sequential
+
+
+@pytest.mark.parametrize(
+    "n,k,lam,m,mode,added",
+    [(3, 5, 3, 3, "exists", 112), (2, 5, 3, 0, "count", 129), (2, 4, 3, 0, "count", 86)],
+)
+def test_every_node_budget_up_to_600_is_exact(n, k, lam, m, mode, added):
+    # Memo hits add `added` nodes within the first 600 of each run; a
+    # budget that falls inside a hit's subtree still stops the run at
+    # exactly that node.  (2, 4, 3) ends at node 343.
+    full = search_oa(SearchProblem(n, k, lam, m=m, mode=mode))
+    for budget in range(601):
+        result = search_oa(SearchProblem(n, k, lam, m=m, mode=mode, node_budget=budget))
+        if budget < full.nodes_explored:
+            assert (result.status, result.nodes_explored, result.witness) == (
+                "budget-exceeded",
+                budget,
+                None,
+            )
+        else:
+            assert result == full
+    hits = HitSizes()
+    search_module._kernel(n, k, lam, ((0,) * k,) * m, mode, 600, None, memo=hits)
+    assert sum(size - 1 for size in hits.sizes) == added
+
+
+def test_a_memo_passed_to_two_runs_keeps_their_witness():
+    # In the second run every subtree is stored already.  A stored subtree
+    # with solutions is visited until the run has its own witness.
+    memo = {}
+    args = (2, 6, 3, (), "count", None, None)
+    first = search_module._kernel(*args, memo=memo)
+    second = search_module._kernel(*args, memo=memo)
+    assert (first["nodes"], first["solutions"]) == (74921, 2688)
+    assert first["witness"] is not None
+    assert second == first
+
+
+def test_polls_fall_on_the_same_nodes_through_memo_hits(monkeypatch):
+    # A run asks its stop every 256 nodes and reads the clock every 1024.
+    # Polled, the (2, 6, 3) count adds 37 565 of its 74 921 nodes through
+    # memo hits (39 242 unpolled) and still asks at nodes 0, 256, ...,
+    # 74 752 and reads at 0, 1024, ..., 74 752.  Every node reached but
+    # the root follows a passing leaf check.
+    reads = []
+
+    def monotonic():
+        reads.append(None)
+        return 0.0
+
+    real = search_module._hall
+    verdicts = []
+
+    def hall(cap, rules):
+        verdicts.append(real(cap, rules))
+        return verdicts[-1]
+
+    monkeypatch.setattr(search_module, "time", types.SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setattr(search_module, "_hall", hall)
+    stop = StopAfterCalls(10**9)
+    raw = search_module._kernel(2, 6, 3, (), "count", None, 1.0, stop=stop)
+    assert (raw["nodes"], raw["solutions"]) == (74921, 2688)
+    assert raw["nodes"] - (verdicts.count(True) + 1) == 37565
+    assert (stop.made, len(reads)) == (293, 74)
+
+
+def test_the_memo_stores_subtrees_larger_than_their_node():
+    memo = {}
+    raw = search_module._kernel(2, 6, 3, (), "count", None, None, memo=memo)
+    assert (raw["nodes"], raw["solutions"]) == (74921, 2688)
+    assert len(memo) == 13751
+    assert {type(key) for key in memo} == {bytes}
+    assert min(size for size, _ in memo.values()) == 2
+
+
+def digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def test_memo_keys_are_tuples_past_byte_values():
+    # lambda = 256 does not fit a byte: the keys are tuples.  The first
+    # 6 000 nodes of the count, with the three subtrees the memo adds and
+    # the hand-back of the rest, are those of a run that visits every node.
+    hits = HitSizes()
+    raw = search_module._kernel(2, 3, 256, (), "count", None, None, None, 6000, memo=hits)
+    outcome = (raw["status"], raw["nodes"], raw["solutions"], len(raw["rest"]))
+    assert outcome == ("found", 6000, 3, 3)
+    assert (digest(raw["rest"]), digest(raw["witness"])) == ("c44e6262eadcd6a4", "1a630294a799a809")
+    assert (len(hits.sizes), sum(size - 1 for size in hits.sizes)) == (3, 760)
+    assert {type(key) for key in hits} == {tuple}
+
+
+# ---------------------------------------------------------------------------
 # multiplicity oracle
 # ---------------------------------------------------------------------------
 
@@ -1031,8 +1158,9 @@ def differential_search(monkeypatch, n, k, lam, **options):
 @pytest.mark.parametrize(
     "m,status,nodes,calls,rejections",
     [
-        (2, "found", 11614, 34342, 22727),
-        (3, "exhausted-no-solution", 15149, 67431, 52280),
+        # memo hits skip the Hall checks of the subtrees they count
+        (2, "found", 11614, 34000, 22524),
+        (3, "exhausted-no-solution", 15149, 40903, 30808),
     ],
 )
 def test_hall_matches_reference_on_pinned_case(monkeypatch, m, status, nodes, calls, rejections):
@@ -1059,12 +1187,76 @@ SWEEP = [
 ]
 
 
+# (status, nodes_explored, solution_count) of each SWEEP case in count mode,
+# as a run that visits every node of the canonical tree reports them.
+SWEEP_OUTCOMES = {
+    (2, 3, 1, 0): ("found", 9, 2),
+    (2, 3, 1, 1): ("found", 4, 1),
+    (2, 4, 1, 0): ("exhausted-no-solution", 5, 0),
+    (2, 4, 1, 1): ("exhausted-no-solution", 1, 0),
+    (2, 5, 1, 0): ("exhausted-no-solution", 9, 0),
+    (2, 5, 1, 1): ("exhausted-no-solution", 1, 0),
+    (2, 6, 1, 0): ("exhausted-no-solution", 17, 0),
+    (2, 6, 1, 1): ("exhausted-no-solution", 1, 0),
+    (2, 3, 2, 0): ("found", 27, 3),
+    (2, 3, 2, 1): ("found", 18, 2),
+    (2, 3, 2, 2): ("found", 7, 1),
+    (2, 4, 2, 0): ("found", 99, 10),
+    (2, 4, 2, 1): ("found", 47, 5),
+    (2, 4, 2, 2): ("exhausted-no-solution", 1, 0),
+    (2, 5, 2, 0): ("found", 525, 60),
+    (2, 5, 2, 1): ("found", 129, 15),
+    (2, 5, 2, 2): ("exhausted-no-solution", 1, 0),
+    (2, 6, 2, 0): ("found", 2169, 240),
+    (2, 6, 2, 1): ("found", 269, 30),
+    (2, 6, 2, 2): ("exhausted-no-solution", 1, 0),
+    (2, 3, 3, 0): ("found", 58, 4),
+    (2, 3, 3, 1): ("found", 45, 3),
+    (2, 3, 3, 2): ("found", 27, 2),
+    (2, 3, 3, 3): ("found", 10, 1),
+    (2, 4, 3, 0): ("found", 343, 16),
+    (2, 4, 3, 1): ("found", 217, 11),
+    (2, 4, 3, 2): ("found", 34, 1),
+    (2, 4, 3, 3): ("exhausted-no-solution", 1, 0),
+    (2, 5, 3, 0): ("found", 4901, 224),
+    (2, 5, 3, 1): ("found", 1768, 83),
+    (2, 5, 3, 2): ("found", 62, 1),
+    (2, 5, 3, 3): ("exhausted-no-solution", 1, 0),
+    (3, 3, 1, 0): ("found", 88, 12),
+    (3, 3, 1, 1): ("found", 29, 4),
+    (3, 4, 1, 0): ("found", 514, 72),
+    (3, 4, 1, 1): ("found", 57, 8),
+    (3, 5, 1, 0): ("exhausted-no-solution", 460, 0),
+    (3, 5, 1, 1): ("exhausted-no-solution", 17, 0),
+    (3, 6, 1, 0): ("exhausted-no-solution", 2674, 0),
+    (3, 6, 1, 1): ("exhausted-no-solution", 33, 0),
+    (3, 3, 2, 0): ("found", 1963, 132),
+    (3, 3, 2, 1): ("found", 1129, 76),
+    (3, 3, 2, 2): ("found", 178, 12),
+}
+
+
+@pytest.mark.parametrize("n,k,lam,m", SWEEP)
+def test_sweep_counts_are_those_of_the_full_tree(n, k, lam, m):
+    result = search_oa(SearchProblem(n, k, lam, m=m, mode="count"))
+    outcome = (result.status, result.nodes_explored, result.solution_count)
+    assert outcome == SWEEP_OUTCOMES[n, k, lam, m]
+    assert len(SWEEP_OUTCOMES) == len(SWEEP)
+
+
 @pytest.mark.parametrize("n,k,lam,m", SWEEP)
 def test_hall_matches_reference_on_small_parameters(monkeypatch, n, k, lam, m):
+    # Every node reached but the root follows a passing leaf check, and so
+    # does each of the m prefix rows.  A memo hit reaches its subtree's root
+    # and counts the rest without reaching it.  Without budgets every hit
+    # is taken: a stored subtree holds solutions only after a first one set
+    # the witness.
+    hits = HitSizes()
+    kernel = search_module._kernel
+    monkeypatch.setattr(search_module, "_kernel", lambda *args: kernel(*args, memo=hits))
     result, verdicts = differential_search(monkeypatch, n, k, lam, m=m, mode="count")
-    # every node but the root follows a passing leaf check, and so does
-    # each of the m prefix rows
-    assert verdicts.count(True) == result.nodes_explored - 1 + m
+    reached = result.nodes_explored - sum(size - 1 for size in hits.sizes)
+    assert verdicts.count(True) == reached - 1 + m
 
 
 class ReadCounter(list):
