@@ -2,7 +2,9 @@
 
 Every command prints a machine-readable report headed by `#REPORT v1`.
 Exit codes: 0 = success / all checks hold, 1 = a check failed or nothing
-exists, 2 = usage or input-format error, 3 = a search budget ran out.
+exists, 2 = usage or input-format error, 3 = a search budget ran out.  A
+stdout closed before the report is written ends the run with one stderr
+line and exit code 1.
 Search output doubles as a valid array file (metadata on `#` comment
 lines), so a printed witness feeds straight back into `verify`.
 
@@ -423,12 +425,22 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except (_UsageError, FormatError) as exc:
         print(f"oakit: {exc}", file=sys.stderr)
         return 2
     except OakitError as exc:
         print(f"oakit: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader of stdout has gone: what is left of the report goes to
+        # devnull, so that the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("oakit: stdout closed before the report was written", file=sys.stderr)
         return 1
 
 

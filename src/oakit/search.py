@@ -61,10 +61,9 @@ nodes, each of which hands back the rest of its subtree as row prefixes in
 DFS order, and runs them leftmost first on worker processes; it replays the
 chunks' node counts in DFS order, so that status, witness, node count and
 solution count are identical to the single-worker run for any worker
-count.  A wall budget becomes one absolute deadline, checked before the
-first node and every 1024 nodes after; in multi-worker mode every chunk
-shares it.  Once the answer is known, each worker is sent None down its
-pipe, and a running chunk, which polls that pipe every 256 nodes, stops.
+count.  Besides its node budget, a run ends early only through its `stop`,
+asked at the first node at or past each multiple of 256, which reads the
+wall budget's one deadline, shared by every chunk, and a worker's pipe.
 """
 
 import os
@@ -130,18 +129,7 @@ class SearchProblem:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 <= self.m <= self.N:
             raise ValueError("forced multiplicity out of range")
-        budget = self.node_budget
-        if budget is not None and (
-            isinstance(budget, bool) or not isinstance(budget, int) or budget < 0
-        ):
-            raise ValueError("node budget must be a nonnegative int")
-        wall = self.wall_budget
-        if wall is not None and (
-            isinstance(wall, bool) or not isinstance(wall, (int, float)) or not wall >= 0
-        ):
-            raise ValueError("wall budget must be a number >= 0")
-        if type(self.ceiling) is not int or self.ceiling < 1:
-            raise ValueError("ceiling must be an int >= 1")
+        _check_limits(self.node_budget, self.wall_budget, self.ceiling)
         if self.N > self.ceiling:
             raise CeilingExceeded(
                 f"{self.N} rows exceeds the configured ceiling of {self.ceiling}"
@@ -150,6 +138,20 @@ class SearchProblem:
     @property
     def N(self):
         return self.lam * self.n * self.n
+
+
+def _check_limits(budget, wall, ceiling):
+    """Raise ValueError unless the budgets and the ceiling are as `SearchProblem` states."""
+    if budget is not None and (
+        isinstance(budget, bool) or not isinstance(budget, int) or budget < 0
+    ):
+        raise ValueError("node budget must be a nonnegative int")
+    if wall is not None and (
+        isinstance(wall, bool) or not isinstance(wall, (int, float)) or not wall >= 0
+    ):
+        raise ValueError("wall budget must be a number >= 0")
+    if type(ceiling) is not int or ceiling < 1:
+        raise ValueError("ceiling must be an int >= 1")
 
 
 @dataclass(frozen=True)
@@ -168,24 +170,25 @@ class SearchResult:
     solution_count: int
 
 
-# Nodes a chunked kernel run explores before it hands back the rest of its
-# subtree.  The deadline check does not read it: a sequential run checks on
-# the literal `nodes & 1023` mask, a chunked run at each chunk's first node.
+# Nodes a chunked kernel run explores before it hands back the rest of its subtree.
 _CHUNK_NODES = 1024
 
 
-def _worker(conn, tables, chunk):
+def _worker(conn, problem, tables, chunk, deadline):
     """A search worker: runs the chunk below each prefix received until None.
 
-    `tables` and its row-prefix trie serve every chunk of the run, and the
-    chunk interval comes from the parent like the tables.  One subtree memo
-    (`_kernel`) also serves every chunk: all of them belong to one search.
-    A busy worker is sent nothing but the None that ends it, so `conn.poll`
-    is its `stop`.
+    A task is its prefix alone: the problem, `tables` with its trie, the
+    chunk interval, the deadline and one subtree memo (`_kernel`) serve
+    every chunk of the run.  A chunk has no node budget; the parent's
+    replay enforces it.  A busy worker is sent nothing but the None that
+    ends it, so its `stop` is `conn.poll`, or under a wall budget
+    `conn.poll` or the clock.
     """
+    p = problem
+    stop = conn.poll if deadline is None else lambda: conn.poll() or time.monotonic() > deadline
     memo = {}
-    for args in iter(conn.recv, None):
-        conn.send(_kernel(*args, tables, chunk, conn.poll, memo))
+    for prefix in iter(conn.recv, None):
+        conn.send(_kernel(p.n, p.k, p.lam, prefix, p.mode, None, tables, chunk, stop, memo))
 
 
 def _tables(n, k):
@@ -330,9 +333,7 @@ def _hall(cap, rules):
     return True
 
 
-def _kernel(
-    n, k, lam, prefix, mode, node_budget, deadline, tables=None, chunk=None, stop=None, memo=None
-):
+def _kernel(n, k, lam, prefix, mode, node_budget, tables=None, chunk=None, stop=None, memo=None):
     """Canonical DFS below a fixed row prefix.
 
     Returns a dict with keys status/nodes/witness/solutions/rest.  `tables`
@@ -376,8 +377,8 @@ def _kernel(
     unchunked run.  The budget and the interval share one `stop_at`; a
     budget that falls at the interval stops the run.
 
-    `stop`, if given, is called before the first node and every 256th
-    after; a true answer ends the run as budget-exceeded.
+    `stop`, if given, is asked at the first node at or past each multiple
+    of 256, 0 included; a true answer ends the run as budget-exceeded.
 
     `memo`, a dict built here when not given, maps the state of a node to
     its subtree's (nodes, solutions).  Below the prefix, the subtree of
@@ -391,26 +392,23 @@ def _kernel(
     nothing for its open rows.  A node whose key is stored adds the
     stored counts and goes back, as a node that places no row does, when
     the run would have finished that subtree unchanged: it ends at or
-    before `stop_at`; with `stop` or `deadline` given, it passes no poll
-    (the next multiple of 256); and, if it holds solutions, the witness is
-    already set.  So node counts, budgets, chunks, polls and witnesses
-    are those of a run without the memo.  A memo serves one search: one
-    call, or every chunk of one worker.  A stored state costs about 200
-    bytes: the full (3, 4, 2) count stores 94 149 of them, a 19.7 MiB
-    tracemalloc peak.
+    before `stop_at`, and, if it holds solutions, the witness is already
+    set.  So node counts, budgets, chunks and witnesses are those of a run
+    without the memo.  A memo serves one search: one call, or every chunk
+    of one worker.  A stored state costs about 200 bytes: the full
+    (3, 4, 2) count stores 94 149 of them, a 19.7 MiB tracemalloc peak.
     """
     rest = []
     out = {"status": EXHAUSTED, "nodes": 0, "witness": None, "solutions": 0, "rest": rest}
     N = lam * n * n
     lns = lam * n
     layout, root = tables or _tables(n, k)
-    stop_at = node_budget
-    if chunk is not None and (stop_at is None or chunk < stop_at):
+    # the node count at which the budget ends the run or, sooner, the chunk ends
+    stop_at = float("inf") if node_budget is None else node_budget
+    if chunk is not None and chunk < stop_at:
         stop_at = chunk
-    # A memo hit may add a subtree only if the run would have finished it:
-    # below `limit` nodes, and, when polled, within one poll interval.
-    limit = float("inf") if stop_at is None else stop_at
-    polled = stop is not None or deadline is not None
+    # the node count from which the next node asks `stop`
+    poll_at = float("inf") if stop is None else 0
     if memo is None:
         memo = {}
     lookup = memo.get
@@ -537,17 +535,17 @@ def _kernel(
                 c = k
             continue
         # c == k: enter the node of row r, below complete rows
-        if nodes == stop_at and stop_at != node_budget:
+        if nodes >= poll_at:
+            poll_at = (nodes | 255) + 1
+            if stop():
+                return dict(out, status=BUDGET_EXCEEDED, nodes=nodes)
+        if nodes == stop_at:
+            if stop_at == node_budget:
+                return dict(out, status=BUDGET_EXCEEDED, nodes=nodes)
             # the chunk ends: this node goes back first, and from here on
             # the last cells hand back each row they would have entered
             rest.append(tuple(map(tuple, grid[:r])))
             split = True
-        elif (
-            nodes == stop_at
-            or (stop is not None and not nodes & 255 and stop())
-            or (deadline is not None and not nodes & 1023 and time.monotonic() > deadline)
-        ):
-            return dict(out, status=BUDGET_EXCEEDED, nodes=nodes)
         elif r == N:
             nodes += 1
             solutions += 1
@@ -562,11 +560,7 @@ def _kernel(
                 got = lookup(key)
                 if got is not None:
                     size, found = got
-                    if (
-                        nodes + size <= limit
-                        and (witness is not None or not found)
-                        and (not polled or (nodes & 255) + size <= 256)
-                    ):
+                    if nodes + size <= stop_at and (witness is not None or not found):
                         # a state seen before: its subtree, counted node
                         # for node without a visit
                         nodes += size
@@ -637,12 +631,13 @@ def search_oa(problem, workers=1):
     Whenever a worker is free it gets the leftmost prefix not yet sent, one
     task in flight per worker, and each chunk's hand-back is spliced in
     right behind it; no task starts to the right of a result that ends the
-    search.  Results are replayed from the head of the list with the exact
-    single-worker budget accounting.  A found witness therefore is the one
-    the sequential search would report, and exhaustion still means the full
-    tree was traversed.  Once the answer is known, each worker is sent None,
-    which also stops a running chunk within 256 nodes.  A worker that exits
-    before it answers raises OakitError.
+    search.  Results are replayed from the head of the list, and the replay
+    alone applies the node budget, with the exact single-worker accounting:
+    a worker's chunk has none.  A found witness therefore is the one the
+    sequential search would report, and exhaustion still means the full
+    tree was traversed.  Once the answer is known, each worker is sent
+    None, which a running chunk reads at its next poll.  A worker that
+    exits before it answers raises OakitError.
 
     A run stopped by a budget reports no witness and solution_count 0.  A
     run stopped by its wall budget reports the nodes replayed in DFS order,
@@ -653,9 +648,10 @@ def search_oa(problem, workers=1):
     p = problem
     prefix = ((0,) * p.k,) * p.m
     deadline = None if p.wall_budget is None else time.monotonic() + p.wall_budget
+    stop = None if deadline is None else lambda: time.monotonic() > deadline
     tables = _tables(p.n, p.k)
     chunk = _CHUNK_NODES if workers > 1 else None
-    raw = _kernel(p.n, p.k, p.lam, prefix, p.mode, p.node_budget, deadline, tables, chunk)
+    raw = _kernel(p.n, p.k, p.lam, prefix, p.mode, p.node_budget, tables, chunk, stop)
     if not raw["rest"]:
         return _finish(p, raw)
 
@@ -674,7 +670,9 @@ def search_oa(problem, workers=1):
     try:
         for _ in range(_pool_size(workers, len(tasks))):
             conn, child = ctx.Pipe()
-            proc = ctx.Process(target=_worker, args=(child, tables, chunk), daemon=True)
+            proc = ctx.Process(
+                target=_worker, args=(child, p, tables, chunk, deadline), daemon=True
+            )
             proc.start()
             child.close()
             conns.append(conn)
@@ -697,9 +695,8 @@ def search_oa(problem, workers=1):
                     break
                 if not task[1]:
                     task[1] = True
-                    budget = None if p.node_budget is None else p.node_budget - raw["nodes"]
                     conn = idle.pop()
-                    conn.send((p.n, p.k, p.lam, task[0], p.mode, budget, deadline))
+                    conn.send(task[0])
                     running[conn] = task
             for conn in wait(list(running)):
                 task = running.pop(conn)
@@ -712,8 +709,8 @@ def search_oa(problem, workers=1):
         raw["status"] = FOUND if raw["witness"] is not None else EXHAUSTED
         return _finish(p, raw)
     finally:
-        # Each worker is sent None and exits; a running chunk stops within 256
-        # nodes, and its result is read so that no worker waits on a full pipe.
+        # Each worker is sent None and exits; a running chunk stops at its next
+        # poll, and its result is read so that no worker waits on a full pipe.
         for conn in conns:
             with suppress(OSError):  # that worker has exited already
                 conn.send(None)
@@ -731,10 +728,12 @@ def maximize_stages(
 
     Walks m down from the counting bound's floor to 1 and stops after the
     first stage that is not exhausted: a found witness, or a budget that ran
-    out.  Each stage gets the full node and wall budgets.  `workers` is
-    checked before the first stage, also when no stage runs.
+    out.  Each stage gets the full node and wall budgets.  `workers`, the
+    budgets and the ceiling are checked before the first stage, also when
+    no stage runs.
     """
     _check_workers(workers)
+    _check_limits(node_budget, wall_budget, ceiling)
     for m in range(max_multiplicity(k, n, lam).integer_form, 0, -1):
         problem = SearchProblem(
             n, k, lam, m=m, node_budget=node_budget, wall_budget=wall_budget, ceiling=ceiling

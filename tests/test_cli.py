@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import pathlib
 import subprocess
 import sys
@@ -388,6 +389,44 @@ def test_console_script(parity_file):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("#REPORT v1\n")
+
+
+def test_a_closed_stdout_ends_the_run_with_one_line(tmp_path):
+    # The roots audit of generate_linear_oa(11, 12) prints 7 385 lines, far
+    # more than a pipe holds.  A reader that takes one line and closes the
+    # pipe, as `| head -1` does, once ended the run in a BrokenPipeError
+    # traceback.
+    path = tmp_path / "oa1112.txt"
+    path.write_text(format_oa(generate_linear_oa(11, 12)))
+    argv = [sys.executable, "-m", "oakit.cli", "audit", str(path), "--method", "roots"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == "#REPORT v1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == "oakit: stdout closed before the report was written\n"
+
+
+def test_a_stdout_closed_before_a_short_report_ends_the_run_with_one_line(parity_file):
+    # A buffered stdout writes a short report only when it is flushed.  Into
+    # a pipe whose reader has already gone, that flush once failed at exit:
+    # "Exception ignored" on stderr and exit code 120.
+    read, write = os.pipe()
+    os.close(read)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "oakit.cli", "verify", parity_file],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == "oakit: stdout closed before the report was written\n"
 
 
 # ---------------------------------------------------------------------------

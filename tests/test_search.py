@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-import types
 
 import pytest
 from hypothesis import given, settings
@@ -257,6 +256,23 @@ def test_workers_are_validated(workers):
         oracle_max_multiplicity(2, 6, 1, workers=workers)
 
 
+@pytest.mark.parametrize(
+    "limits,match",
+    [
+        (dict(node_budget=-1, wall_budget="x"), "node budget"),
+        (dict(wall_budget="x"), "wall budget"),
+        (dict(ceiling=0), "ceiling"),
+    ],
+)
+def test_maximize_checks_its_limits_before_the_first_stage(limits, match):
+    # (2, 100, 1) leaves no stage to search: its counting bound's floor is 0.
+    # Bad budgets and ceilings once returned (0, None) there.
+    with pytest.raises(ValueError, match=match):
+        next(maximize_stages(2, 100, 1, **limits))
+    with pytest.raises(ValueError, match=match):
+        oracle_max_multiplicity(2, 100, 1, **limits)
+
+
 # ---------------------------------------------------------------------------
 # determinism and parallel workers
 # ---------------------------------------------------------------------------
@@ -348,12 +364,12 @@ def test_kernel_hands_back_the_rest_of_its_subtree_in_dfs_order():
     # the chunk and then each handed-back prefix in order visit the nodes of
     # one unchunked run: the same count and the same first witness
     tables = search_module._tables(2, 4)
-    whole = search_module._kernel(2, 4, 3, (), "count", None, None, tables)
+    whole = search_module._kernel(2, 4, 3, (), "count", None, tables)
     pending = [()]
     nodes = solutions = 0
     witnesses = []
     while pending:
-        raw = search_module._kernel(2, 4, 3, pending.pop(0), "count", None, None, tables, 5)
+        raw = search_module._kernel(2, 4, 3, pending.pop(0), "count", None, tables, 5)
         assert raw["nodes"] <= 5
         nodes += raw["nodes"]
         solutions += raw["solutions"]
@@ -375,7 +391,7 @@ def test_handed_back_prefix_rows_carry_the_forced_columns(n, k, lam, m):
     for _ in range(300):
         if not pending:
             break
-        raw = search_module._kernel(n, k, lam, pending.pop(0), "count", None, None, tables, 7)
+        raw = search_module._kernel(n, k, lam, pending.pop(0), "count", None, tables, 7)
         for prefix in raw["rest"]:
             assert list(prefix) == sorted(prefix)
             assert prefix[:m] == ((0,) * k,) * m
@@ -389,14 +405,14 @@ def test_kernel_places_a_whole_prefix_before_the_first_node():
     # the witness; a prefix that overflows a pair capacity is no node
     tables = search_module._tables(2, 4)
     rows = search_oa(SearchProblem(2, 4, 3, m=2)).witness.rows
-    raw = search_module._kernel(2, 4, 3, rows, "exists", None, None, tables)
+    raw = search_module._kernel(2, 4, 3, rows, "exists", None, tables)
     assert (raw["status"], raw["nodes"], raw["solutions"]) == ("found", 1, 1)
     assert tuple(raw["witness"]) == rows
     # the last row doubles the one before it: still sorted, but where the
     # two rows differ, a symbol pair of that row now appears lambda + 1 times
     bad = rows[:-1] + rows[-2:-1]
     assert rows[-2] != rows[-1] and list(bad) == sorted(bad)
-    raw = search_module._kernel(2, 4, 3, bad, "exists", None, None, tables)
+    raw = search_module._kernel(2, 4, 3, bad, "exists", None, tables)
     assert (raw["status"], raw["nodes"]) == ("exhausted-no-solution", 0)
 
 
@@ -418,7 +434,7 @@ def test_a_prefix_that_overfills_a_column_is_no_node(n, k, lam, prefixes, overfi
             seen += 1
             if any(max(map(column.count, column)) > lam * n for column in zip(*prefix)):
                 over += 1
-                raw = search_module._kernel(n, k, lam, prefix, "count", None, None, tables)
+                raw = search_module._kernel(n, k, lam, prefix, "count", None, tables)
                 assert (raw["status"], raw["nodes"]) == ("exhausted-no-solution", 0)
     assert (seen, over) == (prefixes, overfilled)
 
@@ -452,7 +468,7 @@ def test_the_prefix_check_is_exact_for_any_prefix(n, k, lam, most, prefixes, bro
             seen += 1
             breaks = any(cap[d] > sum(min(cap[x], cap[y]) for x, y in pairs) for d, pairs in rules)
             bad += breaks
-            raw = search_module._kernel(n, k, lam, prefix, "exists", 0, None, tables)
+            raw = search_module._kernel(n, k, lam, prefix, "exists", 0, tables)
             assert (raw["status"] == "exhausted-no-solution") == breaks
     assert (seen, bad) == (prefixes, broken)
 
@@ -467,7 +483,7 @@ def test_kernel_runs_share_one_trie():
             prefix = ((0,) * k,) * m
             # then up to two nodes a chunk did not enter: longer prefixes
             for _ in range(3):
-                args = (n, k, lam, prefix, mode, 2000, None)
+                args = (n, k, lam, prefix, mode, 2000)
                 raw = search_module._kernel(*args, shared, chunk)
                 assert raw == search_module._kernel(*args, search_module._tables(n, k), chunk)
                 if not raw["rest"]:
@@ -533,7 +549,12 @@ def test_subtree_search_honours_an_absolute_deadline():
     # subtrees share one point in time, not a fresh allowance per subtree,
     # so a subtree dispatched after the deadline stops before its first node
     prefix = ((0,) * 5,) * 2
-    raw = search_module._kernel(3, 5, 3, prefix, "exists", None, time.monotonic() - 1)
+    deadline = time.monotonic() - 1
+
+    def stop():
+        return time.monotonic() > deadline
+
+    raw = search_module._kernel(3, 5, 3, prefix, "exists", None, stop=stop)
     assert raw["status"] == "budget-exceeded"
     assert raw["nodes"] == 0
 
@@ -575,14 +596,14 @@ def test_stop_callable_stops_a_chunk_within_256_nodes(calls, nodes):
     # nodes after, so the parent's None stops a running chunk without
     # killing the worker.  (3,5,3) m=2 finds its witness at node 11 614.
     stop = StopAfterCalls(calls)
-    raw = search_module._kernel(3, 5, 3, ((0,) * 5,) * 2, "exists", None, None, stop=stop)
+    raw = search_module._kernel(3, 5, 3, ((0,) * 5,) * 2, "exists", None, stop=stop)
     assert (raw["status"], raw["nodes"], raw["witness"]) == ("budget-exceeded", nodes, None)
     assert stop.made == calls + 1
 
 
 def test_a_stop_that_never_says_stop_changes_nothing():
     stop = StopAfterCalls(10**9)
-    args = (3, 5, 3, ((0,) * 5,) * 2, "exists", None, None)
+    args = (3, 5, 3, ((0,) * 5,) * 2, "exists", None)
     assert search_module._kernel(*args, stop=stop) == search_module._kernel(*args)
     assert stop.made == 46  # nodes 0, 256, ..., 11 520 of 11 614
 
@@ -607,10 +628,32 @@ class QueuedPipe:
 def test_a_worker_stops_its_chunk_when_the_none_is_waiting():
     # The parent's None that ends a worker also stops the chunk it is running:
     # a chunk that finds it waiting at its first node enters no node.
-    task = (3, 5, 3, ((0,) * 5,) * 2, "exists", None, None)
-    pipe = QueuedPipe(task, None)
-    search_module._worker(pipe, search_module._tables(3, 5), 1024)
+    pipe = QueuedPipe(((0,) * 5,) * 2, None)
+    problem = SearchProblem(3, 5, 3, m=2)
+    search_module._worker(pipe, problem, search_module._tables(3, 5), 1024, None)
     assert [(r["status"], r["nodes"]) for r in pipe.sent] == [("budget-exceeded", 0)]
+    assert pipe.messages == []
+
+
+class NoneAfterAnswerPipe(QueuedPipe):
+    """A worker's pipe on which the parent's None arrives only after the first answer."""
+
+    def send(self, obj):
+        super().send(obj)
+        self.messages.append(None)
+
+
+@pytest.mark.parametrize(
+    "seconds,outcome", [(-1, ("budget-exceeded", 0)), (3600, ("exhausted-no-solution", 1024))]
+)
+def test_a_worker_reads_the_deadline_through_its_stop(seconds, outcome):
+    # A task is its prefix alone; the deadline comes with the worker's start.
+    # Past it, the chunk stops before its first node while no None waits.
+    pipe = NoneAfterAnswerPipe(((0,) * 5,) * 2)
+    problem = SearchProblem(3, 5, 3, m=2)
+    deadline = time.monotonic() + seconds
+    search_module._worker(pipe, problem, search_module._tables(3, 5), 1024, deadline)
+    assert [(r["status"], r["nodes"]) for r in pipe.sent] == [outcome]
     assert pipe.messages == []
 
 
@@ -681,7 +724,7 @@ def test_a_zero_budget_run_builds_no_rule():
     # before the first node stays small at any width.
     tracemalloc.start()
     try:
-        raw = search_module._kernel(2, 240, 1, (), "exists", 0, None)
+        raw = search_module._kernel(2, 240, 1, (), "exists", 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -696,13 +739,13 @@ def test_kernel_runs_leave_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        raw = search_module._kernel(3, 3, 3, (), "count", None, None)
+        raw = search_module._kernel(3, 3, 3, (), "count", None)
         assert (raw["nodes"], raw["solutions"]) == (21466, 847)
-        raw = search_module._kernel(2, 8, 1, (), "count", None, None)
+        raw = search_module._kernel(2, 8, 1, (), "count", None)
         assert raw["status"] == "exhausted-no-solution"
-        raw = search_module._kernel(2, 4, 3, (), "count", None, None, None, 5)
+        raw = search_module._kernel(2, 4, 3, (), "count", None, None, 5)
         assert raw["nodes"] == 5 and raw["rest"]
-        raw = search_module._kernel(3, 5, 3, ((0,) * 5,) * 3, "exists", 100, None)
+        raw = search_module._kernel(3, 5, 3, ((0,) * 5,) * 3, "exists", 100)
         assert (raw["status"], raw["nodes"]) == ("budget-exceeded", 100)
         assert gc.collect() == 0
     finally:
@@ -771,15 +814,31 @@ def test_every_node_budget_up_to_600_is_exact(n, k, lam, m, mode, added):
         else:
             assert result == full
     hits = HitSizes()
-    search_module._kernel(n, k, lam, ((0,) * k,) * m, mode, 600, None, memo=hits)
+    search_module._kernel(n, k, lam, ((0,) * k,) * m, mode, 600, memo=hits)
     assert sum(size - 1 for size in hits.sizes) == added
+
+
+@pytest.mark.parametrize(
+    "m,budget",
+    [
+        (m, budget)
+        for m, full in [(2, 11614), (3, 15149)]
+        for budget in (1023, 1024, 1025, 2048, full - 1, full)
+    ],
+)
+def test_parallel_budgets_at_the_chunk_edges_match_the_sequential_run(m, budget):
+    # Chunks run with no node budget of their own: the replay alone stops a
+    # two-worker run at its budget, here at the edges of the first two
+    # chunks, one short of the full tree and at the full tree.
+    problem = SearchProblem(3, 5, 3, m=m, node_budget=budget)
+    assert search_oa(problem, workers=2) == search_oa(problem)
 
 
 def test_a_memo_passed_to_two_runs_keeps_their_witness():
     # In the second run every subtree is stored already.  A stored subtree
     # with solutions is visited until the run has its own witness.
     memo = {}
-    args = (2, 6, 3, (), "count", None, None)
+    args = (2, 6, 3, (), "count", None)
     first = search_module._kernel(*args, memo=memo)
     second = search_module._kernel(*args, memo=memo)
     assert (first["nodes"], first["solutions"]) == (74921, 2688)
@@ -788,17 +847,11 @@ def test_a_memo_passed_to_two_runs_keeps_their_witness():
 
 
 def test_polls_fall_on_the_same_nodes_through_memo_hits(monkeypatch):
-    # A run asks its stop every 256 nodes and reads the clock every 1024.
-    # Polled, the (2, 6, 3) count adds 37 565 of its 74 921 nodes through
-    # memo hits (39 242 unpolled) and still asks at nodes 0, 256, ...,
-    # 74 752 and reads at 0, 1024, ..., 74 752.  Every node reached but
-    # the root follows a passing leaf check.
-    reads = []
-
-    def monotonic():
-        reads.append(None)
-        return 0.0
-
+    # A run asks its stop at the first node it reaches at or past each
+    # multiple of 256, so a memo hit may pass a multiple.  Polled or not,
+    # the (2, 6, 3) count adds 39 242 of its 74 921 nodes through memo hits,
+    # and polled it asks 293 times, once for each of 0, 256, ..., 74 752.
+    # Every node reached but the root follows a passing leaf check.
     real = search_module._hall
     verdicts = []
 
@@ -806,18 +859,18 @@ def test_polls_fall_on_the_same_nodes_through_memo_hits(monkeypatch):
         verdicts.append(real(cap, rules))
         return verdicts[-1]
 
-    monkeypatch.setattr(search_module, "time", types.SimpleNamespace(monotonic=monotonic))
     monkeypatch.setattr(search_module, "_hall", hall)
-    stop = StopAfterCalls(10**9)
-    raw = search_module._kernel(2, 6, 3, (), "count", None, 1.0, stop=stop)
-    assert (raw["nodes"], raw["solutions"]) == (74921, 2688)
-    assert raw["nodes"] - (verdicts.count(True) + 1) == 37565
-    assert (stop.made, len(reads)) == (293, 74)
+    for stop in (None, StopAfterCalls(10**9)):
+        verdicts.clear()
+        raw = search_module._kernel(2, 6, 3, (), "count", None, stop=stop)
+        assert (raw["nodes"], raw["solutions"]) == (74921, 2688)
+        assert raw["nodes"] - (verdicts.count(True) + 1) == 39242
+    assert stop.made == 293
 
 
 def test_the_memo_stores_subtrees_larger_than_their_node():
     memo = {}
-    raw = search_module._kernel(2, 6, 3, (), "count", None, None, memo=memo)
+    raw = search_module._kernel(2, 6, 3, (), "count", None, memo=memo)
     assert (raw["nodes"], raw["solutions"]) == (74921, 2688)
     assert len(memo) == 13751
     assert {type(key) for key in memo} == {bytes}
@@ -833,7 +886,7 @@ def test_memo_keys_are_tuples_past_byte_values():
     # 6 000 nodes of the count, with the three subtrees the memo adds and
     # the hand-back of the rest, are those of a run that visits every node.
     hits = HitSizes()
-    raw = search_module._kernel(2, 3, 256, (), "count", None, None, None, 6000, memo=hits)
+    raw = search_module._kernel(2, 3, 256, (), "count", None, None, 6000, memo=hits)
     outcome = (raw["status"], raw["nodes"], raw["solutions"], len(raw["rest"]))
     assert outcome == ("found", 6000, 3, 3)
     assert (digest(raw["rest"]), digest(raw["witness"])) == ("c44e6262eadcd6a4", "1a630294a799a809")
@@ -987,7 +1040,7 @@ def test_leaves_share_their_rules_per_family(n, k, lam):
     tables = search_module._tables(n, k)
     (_, families, store), root = tables
     rules = hall_rules(n, k)
-    search_module._kernel(n, k, lam, (), "count", None, None, tables)
+    search_module._kernel(n, k, lam, (), "count", None, tables)
     leaves = trie_leaves(root, n, k)
     assert len(leaves) > n**3
     assert set(store) == {(a, b, row[1], row[a], row[b]) for row in leaves for a, b in families}
@@ -1039,7 +1092,7 @@ def test_trie_grows_only_along_symbols_with_room(n, k, lam, m, mode, size):
     # trie and the rule store hold exactly the prefixes the search placed
     tables = search_module._tables(n, k)
     (_, _, store), root = tables
-    search_module._kernel(n, k, lam, ((0,) * k,) * m, mode, None, None, tables)
+    search_module._kernel(n, k, lam, ((0,) * k,) * m, mode, None, tables)
     assert (trie_inner_nodes(root, n, k), len(trie_leaves(root, n, k)), len(store)) == size
 
 
