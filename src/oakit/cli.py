@@ -325,10 +325,6 @@ def _search_exit(status):
 def cmd_search(args):
     if args.maximize and args.m is not None:
         raise _UsageError("--maximize cannot be combined with --m")
-    if args.workers < 1:
-        raise _UsageError("--workers must be at least 1")
-    if args.budget is not None and args.budget < 0:
-        raise _UsageError("--budget must be nonnegative")
     ceiling = _ceiling()
     n, k, lam = args.n, args.k, args.lam
     lines = []

@@ -172,9 +172,11 @@ class SearchResult:
 
 # Nodes a chunked kernel run explores before it hands back the rest of its subtree.
 _CHUNK_NODES = 1024
+# States one subtree memo holds at most (`_kernel`).
+_MEMO_STATES = 2**17
 
 
-def _worker(conn, problem, tables, chunk, deadline):
+def _worker(conn, problem, tables, chunk, deadline, parent_ends=()):
     """A search worker: runs the chunk below each prefix received until None.
 
     A task is its prefix alone: the problem, `tables` with its trie, the
@@ -183,12 +185,21 @@ def _worker(conn, problem, tables, chunk, deadline):
     replay enforces it.  A busy worker is sent nothing but the None that
     ends it, so its `stop` is `conn.poll`, or under a wall budget
     `conn.poll` or the clock.
+
+    `parent_ends` are the parent's pipe ends that a forked worker inherits,
+    its own included; it closes them first, so that the parent's death
+    closes its pipe.  A waiting worker then reads EOF, or a reset when the
+    parent left an answer unread, and a busy one sees `conn.poll` turn true
+    and fails to send its answer: each ends without a traceback.
     """
+    for end in parent_ends:
+        end.close()
     p = problem
     stop = conn.poll if deadline is None else lambda: conn.poll() or time.monotonic() > deadline
     memo = {}
-    for prefix in iter(conn.recv, None):
-        conn.send(_kernel(p.n, p.k, p.lam, prefix, p.mode, None, tables, chunk, stop, memo))
+    with suppress(EOFError, ConnectionError):
+        for prefix in iter(conn.recv, None):
+            conn.send(_kernel(p.n, p.k, p.lam, prefix, p.mode, None, tables, chunk, stop, memo))
 
 
 def _tables(n, k):
@@ -388,15 +399,19 @@ def _kernel(n, k, lam, prefix, mode, node_budget, tables=None, chunk=None, stop=
     packs the capacities, plus the previous row for a tight row, as
     `bytes` when lambda <= 255 and n <= 256 and as a tuple otherwise.  A
     node that finishes stores its subtree's counts unless the subtree is
-    the node alone or a hand-back has begun; a run that ends early stores
-    nothing for its open rows.  A node whose key is stored adds the
-    stored counts and goes back, as a node that places no row does, when
-    the run would have finished that subtree unchanged: it ends at or
-    before `stop_at`, and, if it holds solutions, the witness is already
-    set.  So node counts, budgets, chunks and witnesses are those of a run
-    without the memo.  A memo serves one search: one call, or every chunk
-    of one worker.  A stored state costs about 200 bytes: the full
-    (3, 4, 2) count stores 94 149 of them, a 19.7 MiB tracemalloc peak.
+    the node alone, a hand-back has begun or the memo holds `_MEMO_STATES`
+    states; a run that ends early stores nothing for its open rows.  A
+    node whose key is stored adds the stored counts and goes back, as a
+    node that places no row does, when the run would have finished that
+    subtree unchanged: it ends at or before `stop_at`, and, if it holds
+    solutions, the witness is already set.  So node counts, budgets,
+    chunks and witnesses are those of a run without the memo.  A memo
+    serves one search: one call, or every chunk of one worker.  A stored
+    state costs about 200 bytes: the full (3, 4, 2) count stores 94 149 of
+    them, a 19.7 MiB tracemalloc peak.
+    The cap holds however long a wall budget runs: the (2, 7, 4) count
+    keeps 121 037 states in 25.8 MiB.  A state the memo does not hold is
+    visited, so the cap changes no count.
     """
     rest = []
     out = {"status": EXHAUSTED, "nodes": 0, "witness": None, "solutions": 0, "rest": rest}
@@ -412,6 +427,7 @@ def _kernel(n, k, lam, prefix, mode, node_budget, tables=None, chunk=None, stop=
     if memo is None:
         memo = {}
     lookup = memo.get
+    most = _MEMO_STATES
     pack = bytes if lam <= 255 and n <= 256 else tuple
     # One capacity list: the pair blocks.  Sorted rows force columns 0 and
     # 1 as functions of the row index, so before row r, block (0, 1) counts
@@ -481,7 +497,7 @@ def _kernel(n, k, lam, prefix, mode, node_budget, tables=None, chunk=None, stop=
                     cap[o] += 1
                 if fixed and r > start_r and not split:
                     key, entry, found = marks[r]
-                    if nodes - entry > 1:
+                    if nodes - entry > 1 and len(memo) < most:
                         memo[key] = (nodes - entry, solutions - found)
                 r -= 1
                 if r < start_r:
@@ -671,7 +687,9 @@ def search_oa(problem, workers=1):
         for _ in range(_pool_size(workers, len(tasks))):
             conn, child = ctx.Pipe()
             proc = ctx.Process(
-                target=_worker, args=(child, p, tables, chunk, deadline), daemon=True
+                target=_worker,
+                args=(child, p, tables, chunk, deadline, (*conns, conn)),
+                daemon=True,
             )
             proc.start()
             child.close()

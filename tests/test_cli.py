@@ -381,14 +381,34 @@ def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
 
 
-def test_console_script(parity_file):
-    proc = subprocess.run(
-        [sys.executable, "-m", "oakit.cli", "verify", parity_file],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.startswith("#REPORT v1\n")
+@pytest.mark.parametrize(
+    "m,workers,one_cpu",
+    [(2, 1, False), (2, 2, False), (2, 2, True), (3, 1, False), (3, 2, False)],
+)
+def test_search_runs_as_a_process_and_pipes_into_verify(capsys, m, workers, one_cpu):
+    # Real processes: forked workers stopped through their pipes, a CPU mask
+    # that leaves one worker of the two asked for, and README's promise that
+    # search output pipes straight back into verify.  (3,5,3) m=2 finds a
+    # witness; m=3 is exhausted after 15 149 nodes.
+    argv = ["search", "--n", "3", "--k", "5", "--lambda", "3", "--m", str(m)]
+    code = main(argv)
+    expected = capsys.readouterr().out
+    search = [sys.executable, "-m", "oakit.cli", *argv, "--workers", str(workers)]
+    cpu = {min(os.sched_getaffinity(0))}
+    pin = (lambda: os.sched_setaffinity(0, cpu)) if one_cpu else None
+    alone = subprocess.run(search, capture_output=True, text=True, preexec_fn=pin, timeout=120)
+    assert (alone.returncode, alone.stdout, alone.stderr) == (code, expected, "")
+    if m == 3:
+        assert code == 1 and "# nodes 15149" in expected.splitlines()
+        return
+    verify = [sys.executable, "-m", "oakit.cli", "verify", "/dev/stdin"]
+    with subprocess.Popen(search, stdout=subprocess.PIPE, preexec_fn=pin) as producer:
+        piped = subprocess.run(
+            verify, stdin=producer.stdout, capture_output=True, text=True, timeout=120
+        )
+    assert (producer.returncode, piped.returncode, piped.stderr) == (0, 0, "")
+    lines = piped.stdout.splitlines()
+    assert lines[0] == "#REPORT v1" and "max-multiplicity 2" in lines
 
 
 def test_a_closed_stdout_ends_the_run_with_one_line(tmp_path):

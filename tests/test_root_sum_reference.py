@@ -3,7 +3,8 @@
 `audit --method roots` and `audit --method shortened` must print, byte for
 byte, what `reference_lines` rebuilds from the array alone: every hermitian
 product counted by a plain zip loop over the coordinates and reduced with
-`reduce_root_sum`.  For `shortened` the reference runs the same loop on the
+`reduce_root_sum`.  Each exits 1 when those lines end in an `error` line and
+0 otherwise.  For `shortened` the reference runs the same loop on the
 normalized array, where the m copies of the repeated row are m coordinates
 that are 0 in every vector; its implied bound is N - m + 1.
 """
@@ -113,9 +114,11 @@ def assert_cli_matches_reference(array, m, path):
     for method in ("roots", "shortened"):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            main(["audit", str(path), "--method", method, "--m", str(m)])
+            code = main(["audit", str(path), "--method", method, "--m", str(m)])
         expected = reference_lines(array, method, m)
         assert out.getvalue().splitlines() == expected, (method, m, array.rows)
+        failed = any(line.startswith("error ") for line in expected)
+        assert code == (1 if failed else 0), (method, m, array.rows)
 
 
 @pytest.mark.parametrize("base", INPUTS)

@@ -5,6 +5,7 @@ import itertools
 import multiprocessing
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import time
@@ -680,6 +681,56 @@ def test_a_worker_that_dies_ends_the_search_with_one_error_line(monkeypatch, cap
     assert multiprocessing.active_children() == []
 
 
+ORPHANS = """
+from oakit import SearchProblem, search_oa
+while True:
+    search_oa(SearchProblem(2, 6, 3, mode="count"), workers=2)
+"""
+
+
+def proc_state(pid):
+    """(state, ppid) of process `pid` from /proc; ("X", 0), dead, once it is gone."""
+    try:
+        fields = pathlib.Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()
+    except OSError:
+        return "X", 0
+    return fields[0], int(fields[1])
+
+
+def test_workers_end_when_their_parent_dies():
+    # A worker once inherited the parent's end of its own pipe and of each
+    # earlier worker's, so a parent killed by a signal left its workers
+    # waiting forever, reparented.  Where nothing reaps orphans, an ended
+    # worker stays a zombie (state Z).  A worker writes nothing to the
+    # stderr it inherited as it ends.
+    src = pathlib.Path(search_module.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    parent = subprocess.Popen([sys.executable, "-c", ORPHANS], env=env, stderr=subprocess.PIPE)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and time.monotonic() < deadline:
+            pids = [int(path.name) for path in pathlib.Path("/proc").glob("[0-9]*")]
+            workers = [pid for pid in pids if proc_state(pid)[1] == parent.pid]
+        assert len(workers) == 2
+        parent.terminate()
+        assert parent.wait(timeout=60) == -signal.SIGTERM
+        deadline = time.monotonic() + 5
+        left = workers
+        while left and time.monotonic() < deadline:
+            time.sleep(0.05)
+            left = [pid for pid in workers if proc_state(pid)[0] not in "XZ"]
+        assert left == []
+        assert parent.stderr.read() == b""
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stderr.close()
+        for pid in workers:
+            if proc_state(pid)[0] not in "XZ":
+                os.kill(pid, signal.SIGKILL)
+
+
 # What a fresh interpreter has imported after each script; run as EARLY_EXITS is.
 LOADED = """
 import sys
@@ -1295,6 +1346,19 @@ def test_sweep_counts_are_those_of_the_full_tree(n, k, lam, m):
     outcome = (result.status, result.nodes_explored, result.solution_count)
     assert outcome == SWEEP_OUTCOMES[n, k, lam, m]
     assert len(SWEEP_OUTCOMES) == len(SWEEP)
+
+
+def test_a_memo_at_its_bound_changes_no_count(monkeypatch):
+    # A state the memo no longer stores is visited instead.  Forked workers
+    # inherit the patched bound.
+    monkeypatch.setattr(search_module, "_MEMO_STATES", 4)
+    for (n, k, lam, m), outcome in SWEEP_OUTCOMES.items():
+        for workers in (1, 2):
+            result = search_oa(SearchProblem(n, k, lam, m=m, mode="count"), workers=workers)
+            assert (result.status, result.nodes_explored, result.solution_count) == outcome
+    memo = {}
+    raw = search_module._kernel(2, 6, 3, (), "count", None, memo=memo)
+    assert (raw["nodes"], raw["solutions"], len(memo)) == (74921, 2688, 4)
 
 
 @pytest.mark.parametrize("n,k,lam,m", SWEEP)
