@@ -61,9 +61,11 @@ nodes, each of which hands back the rest of its subtree as row prefixes in
 DFS order, and runs them leftmost first on worker processes; it replays the
 chunks' node counts in DFS order, so that status, witness, node count and
 solution count are identical to the single-worker run for any worker
-count.  Besides its node budget, a run ends early only through its `stop`,
-asked at the first node at or past each multiple of 256, which reads the
-wall budget's one deadline, shared by every chunk, and a worker's pipe.
+count.  Besides its node budget, a kernel run ends early only through its
+`stop`, asked at the first node at or past each multiple of 256, which
+reads the wall budget's deadline.  Worker chunks run without one: the
+parent alone watches the deadline, and it ends a parallel run by killing
+its workers.
 """
 
 import os
@@ -176,30 +178,29 @@ _CHUNK_NODES = 1024
 _MEMO_STATES = 2**17
 
 
-def _worker(conn, problem, tables, chunk, deadline, parent_ends=()):
-    """A search worker: runs the chunk below each prefix received until None.
+def _worker(conn, problem, tables, chunk, parent_ends=()):
+    """A search worker: runs the chunk below each prefix it receives.
 
     A task is its prefix alone: the problem, `tables` with its trie, the
-    chunk interval, the deadline and one subtree memo (`_kernel`) serve
-    every chunk of the run.  A chunk has no node budget; the parent's
-    replay enforces it.  A busy worker is sent nothing but the None that
-    ends it, so its `stop` is `conn.poll`, or under a wall budget
-    `conn.poll` or the clock.
+    chunk interval and one subtree memo (`_kernel`) serve every chunk of
+    the run.  A chunk has neither a node budget nor a `stop`: the parent's
+    replay enforces the node budget, the parent watches the wall budget,
+    and the parent kills the worker when the search ends.
 
     `parent_ends` are the parent's pipe ends that a forked worker inherits,
     its own included; it closes them first, so that the parent's death
     closes its pipe.  A waiting worker then reads EOF, or a reset when the
-    parent left an answer unread, and a busy one sees `conn.poll` turn true
-    and fails to send its answer: each ends without a traceback.
+    parent left an answer unread, and a busy one fails to send its answer
+    once its chunk is done: each ends without a traceback.
     """
     for end in parent_ends:
         end.close()
     p = problem
-    stop = conn.poll if deadline is None else lambda: conn.poll() or time.monotonic() > deadline
     memo = {}
     with suppress(EOFError, ConnectionError):
-        for prefix in iter(conn.recv, None):
-            conn.send(_kernel(p.n, p.k, p.lam, prefix, p.mode, None, tables, chunk, stop, memo))
+        while True:
+            prefix = conn.recv()
+            conn.send(_kernel(p.n, p.k, p.lam, prefix, p.mode, None, tables, chunk, None, memo))
 
 
 def _tables(n, k):
@@ -615,11 +616,6 @@ def _pool_size(workers, tasks):
     return min(workers, tasks, cpus)
 
 
-def _ends_search(res, mode):
-    """True when no node after the kernel result `res` can change the answer."""
-    return res["status"] == BUDGET_EXCEEDED or (mode == "exists" and res["witness"] is not None)
-
-
 def _finish(problem, raw):
     witness = None
     achieved = 0
@@ -651,14 +647,15 @@ def search_oa(problem, workers=1):
     alone applies the node budget, with the exact single-worker accounting:
     a worker's chunk has none.  A found witness therefore is the one the
     sequential search would report, and exhaustion still means the full
-    tree was traversed.  Once the answer is known, each worker is sent
-    None, which a running chunk reads at its next poll.  A worker that
-    exits before it answers raises OakitError.
+    tree was traversed.  Only this process watches the wall budget.  Once
+    the answer is known or the deadline has passed, it kills every worker,
+    running or not, and reads no pipe again.  A worker that exits before it
+    answers raises OakitError.
 
     A run stopped by a budget reports no witness and solution_count 0.  A
-    run stopped by its wall budget reports the nodes replayed in DFS order,
-    never the node budget unless that budget was reached.  `workers` must
-    be an int >= 1.
+    run stopped by its wall budget reports the nodes of the chunks replayed
+    in DFS order before the deadline, never the node budget unless that
+    budget was reached.  `workers` must be an int >= 1.
     """
     _check_workers(workers)
     p = problem
@@ -688,7 +685,7 @@ def search_oa(problem, workers=1):
             conn, child = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker,
-                args=(child, p, tables, chunk, deadline, (*conns, conn)),
+                args=(child, p, tables, chunk, (*conns, conn)),
                 daemon=True,
             )
             proc.start()
@@ -700,8 +697,8 @@ def search_oa(problem, workers=1):
             if res is not None:
                 del tasks[0]
                 raw["nodes"] += res["nodes"]
-                if res["status"] == BUDGET_EXCEEDED or raw["nodes"] > limit:
-                    return SearchResult(BUDGET_EXCEEDED, None, min(raw["nodes"], limit), 0, 0)
+                if raw["nodes"] > limit:
+                    return SearchResult(BUDGET_EXCEEDED, None, limit, 0, 0)
                 raw["solutions"] += res["solutions"]
                 raw["witness"] = raw["witness"] or res["witness"]
                 if raw["witness"] and p.mode == "exists":
@@ -709,14 +706,17 @@ def search_oa(problem, workers=1):
                 continue
             idle = [conn for conn in conns if conn not in running]
             for task in tasks:
-                if not idle or (task[2] is not None and _ends_search(task[2], p.mode)):
+                if not idle or p.mode == "exists" and task[2] and task[2]["witness"]:
                     break
                 if not task[1]:
                     task[1] = True
                     conn = idle.pop()
                     conn.send(task[0])
                     running[conn] = task
-            for conn in wait(list(running)):
+            ready = wait(list(running), None if deadline is None else deadline - time.monotonic())
+            if not ready or stop and stop():
+                return SearchResult(BUDGET_EXCEEDED, None, raw["nodes"], 0, 0)
+            for conn in ready:
                 task = running.pop(conn)
                 try:
                     task[2] = res = conn.recv()
@@ -727,15 +727,10 @@ def search_oa(problem, workers=1):
         raw["status"] = FOUND if raw["witness"] is not None else EXHAUSTED
         return _finish(p, raw)
     finally:
-        # Each worker is sent None and exits; a running chunk stops at its next
-        # poll, and its result is read so that no worker waits on a full pipe.
-        for conn in conns:
-            with suppress(OSError):  # that worker has exited already
-                conn.send(None)
-        for conn in running:
-            with suppress(EOFError, OSError):
-                conn.recv()
+        # No chunk still running can change the answer, and no worker holds a
+        # lock or queue that another process needs: each is killed where it is.
         for proc in procs:
+            proc.kill()
             proc.join()
 
 

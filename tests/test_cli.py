@@ -386,7 +386,7 @@ def test_help_exits_cleanly(capsys):
     [(2, 1, False), (2, 2, False), (2, 2, True), (3, 1, False), (3, 2, False)],
 )
 def test_search_runs_as_a_process_and_pipes_into_verify(capsys, m, workers, one_cpu):
-    # Real processes: forked workers stopped through their pipes, a CPU mask
+    # Real processes: forked workers killed once the answer is known, a CPU mask
     # that leaves one worker of the two asked for, and README's promise that
     # search output pipes straight back into verify.  (3,5,3) m=2 finds a
     # witness; m=3 is exhausted after 15 149 nodes.

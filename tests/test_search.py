@@ -547,8 +547,8 @@ def test_pool_size_counts_the_cpus_this_process_may_use(monkeypatch):
 
 
 def test_subtree_search_honours_an_absolute_deadline():
-    # subtrees share one point in time, not a fresh allowance per subtree,
-    # so a subtree dispatched after the deadline stops before its first node
+    # a wall budget is one point in time, not a fresh allowance per kernel
+    # run, so a run that starts after the deadline stops before its first node
     prefix = ((0,) * 5,) * 2
     deadline = time.monotonic() - 1
 
@@ -572,15 +572,17 @@ for _ in range(10):
 def test_parallel_runs_that_stop_early_never_hang():
     # Killing the workers of a pool that still had subtrees running once hung
     # now and then: a worker killed while it held the result queue's lock
-    # left the pool's shutdown waiting forever.  Run in a child process, so
-    # a hang fails the test at the timeout instead of stalling the suite.
+    # left the pool's shutdown waiting forever.  Each worker now has a pipe
+    # of its own and shares no lock, and the parent kills workers that are
+    # still running.  Run in a child process, so a hang fails the test at
+    # the timeout instead of stalling the suite.
     src = pathlib.Path(search_module.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     subprocess.run([sys.executable, "-c", EARLY_EXITS], env=env, check=True, timeout=120)
 
 
 class StopAfterCalls:
-    """A stand-in for a worker's `conn.poll` that says stop from call `calls` + 1 on."""
+    """A kernel `stop` that says stop from call `calls` + 1 on."""
 
     def __init__(self, calls):
         self.calls = calls
@@ -593,9 +595,10 @@ class StopAfterCalls:
 
 @pytest.mark.parametrize("calls,nodes", [(0, 0), (1, 256), (2, 512), (45, 11520)])
 def test_stop_callable_stops_a_chunk_within_256_nodes(calls, nodes):
-    # A worker's kernel polls its pipe before its first node and every 256
-    # nodes after, so the parent's None stops a running chunk without
-    # killing the worker.  (3,5,3) m=2 finds its witness at node 11 614.
+    # A kernel run asks its stop before its first node and every 256 nodes
+    # after, so a wall budget ends a sequential run, or the first chunk of a
+    # parallel one, within 256 nodes.  (3,5,3) m=2 finds its witness at node
+    # 11 614.
     stop = StopAfterCalls(calls)
     raw = search_module._kernel(3, 5, 3, ((0,) * 5,) * 2, "exists", None, stop=stop)
     assert (raw["status"], raw["nodes"], raw["witness"]) == ("budget-exceeded", nodes, None)
@@ -609,59 +612,14 @@ def test_a_stop_that_never_says_stop_changes_nothing():
     assert stop.made == 46  # nodes 0, 256, ..., 11 520 of 11 614
 
 
-class QueuedPipe:
-    """A stand-in for a worker's end of its pipe, holding what the parent sent."""
-
-    def __init__(self, *messages):
-        self.messages = list(messages)
-        self.sent = []
-
-    def recv(self):
-        return self.messages.pop(0)
-
-    def poll(self):
-        return bool(self.messages)
-
-    def send(self, obj):
-        self.sent.append(obj)
-
-
-def test_a_worker_stops_its_chunk_when_the_none_is_waiting():
-    # The parent's None that ends a worker also stops the chunk it is running:
-    # a chunk that finds it waiting at its first node enters no node.
-    pipe = QueuedPipe(((0,) * 5,) * 2, None)
-    problem = SearchProblem(3, 5, 3, m=2)
-    search_module._worker(pipe, problem, search_module._tables(3, 5), 1024, None)
-    assert [(r["status"], r["nodes"]) for r in pipe.sent] == [("budget-exceeded", 0)]
-    assert pipe.messages == []
-
-
-class NoneAfterAnswerPipe(QueuedPipe):
-    """A worker's pipe on which the parent's None arrives only after the first answer."""
-
-    def send(self, obj):
-        super().send(obj)
-        self.messages.append(None)
-
-
-@pytest.mark.parametrize(
-    "seconds,outcome", [(-1, ("budget-exceeded", 0)), (3600, ("exhausted-no-solution", 1024))]
-)
-def test_a_worker_reads_the_deadline_through_its_stop(seconds, outcome):
-    # A task is its prefix alone; the deadline comes with the worker's start.
-    # Past it, the chunk stops before its first node while no None waits.
-    pipe = NoneAfterAnswerPipe(((0,) * 5,) * 2)
-    problem = SearchProblem(3, 5, 3, m=2)
-    deadline = time.monotonic() + seconds
-    search_module._worker(pipe, problem, search_module._tables(3, 5), 1024, deadline)
-    assert [(r["status"], r["nodes"]) for r in pipe.sent] == [outcome]
-    assert pipe.messages == []
-
-
-@pytest.mark.skipif(
+# Tests that patch the kernel in this process and need the workers to inherit it.
+fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="only a forked worker inherits the patched kernel",
 )
+
+
+@fork_only
 def test_a_worker_that_dies_ends_the_search_with_one_error_line(monkeypatch, capsys):
     # A worker whose pipe closed before it answered once ended the CLI in an
     # EOFError traceback.  Every worker here exits at its first chunk.
@@ -679,6 +637,81 @@ def test_a_worker_that_dies_ends_the_search_with_one_error_line(monkeypatch, cap
     out, err = capsys.readouterr()
     assert (out, err) == ("", "oakit: a search worker exited before answering\n")
     assert multiprocessing.active_children() == []
+
+
+def stuck_in_workers(monkeypatch, stuck):
+    """Make a forked worker's `_kernel` sleep 20 s on each prefix for which `stuck` holds."""
+    kernel = search_module._kernel
+    caller = os.getpid()
+
+    def stuck_kernel(*args):
+        if os.getpid() != caller and stuck(args[3]):
+            time.sleep(20)
+        return kernel(*args)
+
+    monkeypatch.setattr(search_module, "_kernel", stuck_kernel)
+
+
+@fork_only
+def test_a_found_witness_ends_the_search_while_later_chunks_are_stuck(monkeypatch):
+    # A chunk after the witness in DFS order cannot change the answer, so the
+    # parent kills its worker instead of waiting for the chunk to finish.
+    # Symbols are tried in descending order: later prefixes sort lower.
+    problem = SearchProblem(3, 5, 3, m=2)
+    sequential = search_oa(problem)
+    rows = sequential.witness.rows
+    stuck_in_workers(monkeypatch, lambda prefix: prefix < rows[: len(prefix)])
+    began = time.monotonic()
+    assert search_oa(problem, workers=2) == sequential
+    assert time.monotonic() - began < 5
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_a_wall_budget_ends_the_search_while_every_chunk_is_stuck(monkeypatch):
+    # Worker chunks have no stop: the parent alone waits no longer than the
+    # deadline, and it reports the nodes replayed before it.
+    stuck_in_workers(monkeypatch, lambda prefix: True)
+    began = time.monotonic()
+    result = search_oa(SearchProblem(3, 5, 3, m=3, wall_budget=0.5), workers=2)
+    assert time.monotonic() - began < 5
+    assert (result.status, result.witness, result.solution_count) == ("budget-exceeded", None, 0)
+    assert result.nodes_explored == 1024  # the first chunk, run in this process
+    assert multiprocessing.active_children() == []
+
+
+# A lone worker that dies at its first chunk; run as EARLY_EXITS is.
+LONE_DEAD_WORKER = """
+import os
+import oakit.search as search
+from oakit import SearchProblem
+from oakit.errors import OakitError
+kernel = search._kernel
+caller = os.getpid()
+def dying_kernel(*args):
+    if os.getpid() != caller:
+        os._exit(1)
+    return kernel(*args)
+search._kernel = dying_kernel
+search._pool_size = lambda workers, tasks: 1
+try:
+    search.search_oa(SearchProblem(3, 5, 3, m=3), workers=2)
+except OakitError as error:
+    if str(error) != "a search worker exited before answering":
+        raise
+else:
+    raise AssertionError("the search did not fail")
+"""
+
+
+@fork_only
+def test_the_parent_reads_eof_from_a_lone_dead_worker():
+    # The parent closes the worker's end of each pipe once the worker has
+    # started.  If it kept that end open, the pipe of a lone worker that died
+    # would never read EOF, and the search would wait forever.
+    src = pathlib.Path(search_module.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", LONE_DEAD_WORKER], env=env, check=True, timeout=60)
 
 
 ORPHANS = """
@@ -754,8 +787,8 @@ print(" ".join(sorted(sys.modules)))
 def test_a_search_loads_only_the_process_machinery_it_uses(case, loaded, absent):
     # Importing the package and the CLI, a sequential search and a parallel
     # search that ends in its first chunk load no multiprocessing at all; a
-    # search that starts workers stops them through their pipes, with no
-    # shared memory.
+    # search that starts workers talks to them through pipes and kills them
+    # at its end, with no shared memory.
     src = pathlib.Path(search_module.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     run = subprocess.run(
