@@ -713,8 +713,11 @@ def search_oa(problem, workers=1):
                     conn = idle.pop()
                     conn.send(task[0])
                     running[conn] = task
-            ready = wait(list(running), None if deadline is None else deadline - time.monotonic())
-            if not ready or stop and stop():
+            # wait() overflows past 2**31 - 1 ms, so a long budget is waited out a
+            # day at a time: an empty `ready` alone does not mean the deadline passed
+            timeout = None if deadline is None else min(deadline - time.monotonic(), 86400)
+            ready = wait(list(running), timeout)
+            if stop and stop():
                 return SearchResult(BUDGET_EXCEEDED, None, raw["nodes"], 0, 0)
             for conn in ready:
                 task = running.pop(conn)

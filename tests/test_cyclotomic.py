@@ -118,14 +118,3 @@ def test_float_agrees_with_direct_evaluation():
     direct = sum(c * w**s for s, c in enumerate(counts))
     assert abs(root_sum_float(counts, 6) - direct) < 1e-12
 
-
-def test_module_doctests():
-    import doctest
-    import importlib
-
-    # the package re-exports the cyclotomic *function*, shadowing the
-    # attribute; fetch the module itself
-    module = importlib.import_module("oakit.cyclotomic")
-    results = doctest.testmod(module, verbose=False)
-    assert results.attempted > 0
-    assert results.failed == 0

@@ -843,6 +843,18 @@ def test_passed_wall_budget_stops_at_once(workers):
     assert result.nodes_explored == 0
 
 
+@pytest.mark.parametrize("wall_budget", [float("inf"), 1e9])
+def test_a_wall_budget_past_the_longest_wait_changes_nothing(wall_budget):
+    # a wait for results takes at most 2**31 - 1 ms; a longer budget once
+    # raised OverflowError in a parallel run and its maximize loop
+    problem = SearchProblem(3, 5, 3, m=3, wall_budget=wall_budget)
+    sequential = search_oa(problem)
+    assert sequential.nodes_explored == 15149
+    assert search_oa(problem, workers=2) == sequential
+    oracle = oracle_max_multiplicity(3, 5, 3, wall_budget=wall_budget, workers=2)
+    assert oracle == oracle_max_multiplicity(3, 5, 3)
+
+
 # ---------------------------------------------------------------------------
 # subtree memo
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ PACKAGE = pathlib.Path(oakit.__file__).parent
 
 
 def test_no_invariant_rests_on_assert():
-    # python -O strips assert statements, so every check must be a raise
+    # python -O strips assert statements and sets __debug__ to False, and
+    # that is all it changes: with neither in the package, the suite run
+    # without -O checks what a run under -O would
     paths = sorted(PACKAGE.glob("*.py"))
     assert paths
     found = [
@@ -16,6 +18,7 @@ def test_no_invariant_rests_on_assert():
         for path in paths
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
+        or isinstance(node, ast.Name) and node.id == "__debug__"
     ]
     assert found == []
 
