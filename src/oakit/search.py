@@ -42,13 +42,13 @@ family (a, b), which rows share.  No rule is built before the first node.
 the counting bound's floor down; `oracle_max_multiplicity` and the CLI's
 `search --maximize` both consume it.
 
-Many row prefixes leave the same capacities and the same last row, and
-below them the search is the same subtree.  A run keeps a memo of each
-finished subtree's node and solution counts, keyed by that state (the last
-row only where it bounds the next one), and counts a repeated state's
-subtree from the memo instead of visiting it (`_kernel`).  Node counts
-still count every node of the canonical tree: the repeated subtrees are
-counted, node for node, through the memo.
+Many row prefixes leave the same capacities, and at the first row of a
+forced (s0, s1) block, where the last row bounds nothing, the search below
+is then the same subtree.  A run keeps a memo of each finished subtree
+below a block start, dead ends too, keyed by its capacities alone, and
+counts a repeated state's subtree from the memo instead of visiting it
+(`_kernel`).  Node counts still count every node of the canonical tree:
+the repeated subtrees are counted, node for node, through the memo.
 
 Within a cell, candidate symbols are tried in descending order; the visit
 order of a fully traversed tree does not affect which nodes are visited
@@ -393,26 +393,28 @@ def _kernel(n, k, lam, prefix, mode, node_budget, tables=None, chunk=None, stop=
     of 256, 0 included; a true answer ends the run as budget-exceeded.
 
     `memo`, a dict built here when not given, maps the state of a node to
-    its subtree's (nodes, solutions).  Below the prefix, the subtree of
-    row r's node depends on three things: the capacities, which fix r
-    through their sum; whether row r is tight, which r fixes; and, only if
-    it is, the previous row, the lexicographic bound of row r.  The key
-    packs the capacities, plus the previous row for a tight row, as
-    `bytes` when lambda <= 255 and n <= 256 and as a tuple otherwise.  A
-    node that finishes stores its subtree's counts unless the subtree is
-    the node alone, a hand-back has begun or the memo holds `_MEMO_STATES`
-    states; a run that ends early stores nothing for its open rows.  A
-    node whose key is stored adds the stored counts and goes back, as a
-    node that places no row does, when the run would have finished that
-    subtree unchanged: it ends at or before `stop_at`, and, if it holds
-    solutions, the witness is already set.  So node counts, budgets,
-    chunks and witnesses are those of a run without the memo.  A memo
-    serves one search: one call, or every chunk of one worker.  A stored
-    state costs about 200 bytes: the full (3, 4, 2) count stores 94 149 of
-    them, a 19.7 MiB tracemalloc peak.
-    The cap holds however long a wall budget runs: the (2, 7, 4) count
-    keeps 121 037 states in 25.8 MiB.  A state the memo does not hold is
-    visited, so the cap changes no count.
+    its subtree's (nodes, solutions).  Row r is tight exactly when r > 0
+    and r % lambda != 0, when it shares its forced pair (s0, s1) with the
+    row above.  Below the prefix, the subtree of a block-start row r, one
+    that is not tight, depends on the capacities alone: they fix r through
+    their sum, and no cell of row r or below reads the previous row.  Only
+    such nodes are looked up and stored; a tight row's key would need the
+    previous row as well, and such keys seldom repeat.  The key packs
+    the capacities as `bytes` when lambda <= 255 and n <= 256 and as a
+    tuple otherwise.  A block-start node that finishes stores its subtree's
+    counts, a one-node dead end as (1, 0), unless a hand-back has begun or
+    the memo holds `_MEMO_STATES` states; a run that ends early stores
+    nothing for its open rows.  A node whose key is stored adds the stored
+    counts and goes back, as a node that places no row does, when the run
+    would have finished that subtree unchanged: it ends at or before
+    `stop_at`, and, if it holds solutions, the witness is already set.  So
+    node counts, budgets, chunks and witnesses are those of a run without
+    the memo.  A memo serves one search: one call, or every chunk of one
+    worker.  A stored state costs about 180 bytes: the full (3, 4, 2) count
+    stores 42 561 of them, a 7.2 MiB tracemalloc peak.  The cap holds
+    however long a wall budget runs; the first 3 000 000 nodes of the
+    (2, 7, 4) count store 22 163 states, 4.9 MiB of keys and values.  A
+    state the memo does not hold is visited, so the cap changes no count.
     """
     rest = []
     out = {"status": EXHAUSTED, "nodes": 0, "witness": None, "solutions": 0, "rest": rest}
@@ -460,7 +462,8 @@ def _kernel(n, k, lam, prefix, mode, node_budget, tables=None, chunk=None, stop=
     # row[:c] == prev[:c], and fixed its forced cell.  row[c] is -1 for
     # every cell c >= 2 that holds no symbol.
     frames = [None] * N
-    # marks[r]: the memo key of row r's node and the counters at its entry
+    # marks[r]: the memo key of block-start row r's node and the counters
+    # at its entry; None for every other row
     marks = [None] * N
     for r in range(start_r, N):
         row = grid[r]
@@ -496,10 +499,9 @@ def _kernel(n, k, lam, prefix, mode, node_budget, tables=None, chunk=None, stop=
                 # last cell of the row above
                 for o in fixed:
                     cap[o] += 1
-                if fixed and r > start_r and not split:
+                if fixed and marks[r] and not split and len(memo) < most:
                     key, entry, found = marks[r]
-                    if nodes - entry > 1 and len(memo) < most:
-                        memo[key] = (nodes - entry, solutions - found)
+                    memo[key] = (nodes - entry, solutions - found)
                 r -= 1
                 if r < start_r:
                     break
@@ -572,8 +574,8 @@ def _kernel(n, k, lam, prefix, mode, node_budget, tables=None, chunk=None, stop=
                 break
         else:
             row, prev, path, tight, fixed = frames[r]
-            if r > start_r:
-                key = pack(cap) + pack(prev) if tight[2] else pack(cap)
+            if r > start_r and not tight[2]:
+                key = pack(cap)
                 got = lookup(key)
                 if got is not None:
                     size, found = got

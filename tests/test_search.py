@@ -892,7 +892,7 @@ def test_memo_runs_agree_across_worker_counts(spec, nodes, solutions):
 
 @pytest.mark.parametrize(
     "n,k,lam,m,mode,added",
-    [(3, 5, 3, 3, "exists", 112), (2, 5, 3, 0, "count", 129), (2, 4, 3, 0, "count", 86)],
+    [(3, 5, 3, 3, "exists", 112), (2, 5, 3, 0, "count", 124), (2, 4, 3, 0, "count", 84)],
 )
 def test_every_node_budget_up_to_600_is_exact(n, k, lam, m, mode, added):
     # Memo hits add `added` nodes within the first 600 of each run; a
@@ -945,7 +945,7 @@ def test_a_memo_passed_to_two_runs_keeps_their_witness():
 def test_polls_fall_on_the_same_nodes_through_memo_hits(monkeypatch):
     # A run asks its stop at the first node it reaches at or past each
     # multiple of 256, so a memo hit may pass a multiple.  Polled or not,
-    # the (2, 6, 3) count adds 39 242 of its 74 921 nodes through memo hits,
+    # the (2, 6, 3) count adds 39 104 of its 74 921 nodes through memo hits,
     # and polled it asks 293 times, once for each of 0, 256, ..., 74 752.
     # Every node reached but the root follows a passing leaf check.
     real = search_module._hall
@@ -960,17 +960,19 @@ def test_polls_fall_on_the_same_nodes_through_memo_hits(monkeypatch):
         verdicts.clear()
         raw = search_module._kernel(2, 6, 3, (), "count", None, stop=stop)
         assert (raw["nodes"], raw["solutions"]) == (74921, 2688)
-        assert raw["nodes"] - (verdicts.count(True) + 1) == 39242
+        assert raw["nodes"] - (verdicts.count(True) + 1) == 39104
     assert stop.made == 293
 
 
-def test_the_memo_stores_subtrees_larger_than_their_node():
+def test_the_memo_stores_block_start_states_and_their_dead_ends():
+    # A key is the capacity list alone, 15 pair blocks of 4 cells, and a
+    # one-node dead end is stored as (1, 0) like any other subtree.
     memo = {}
     raw = search_module._kernel(2, 6, 3, (), "count", None, memo=memo)
     assert (raw["nodes"], raw["solutions"]) == (74921, 2688)
-    assert len(memo) == 13751
-    assert {type(key) for key in memo} == {bytes}
-    assert min(size for size, _ in memo.values()) == 2
+    assert len(memo) == 2160
+    assert {(type(key), len(key)) for key in memo} == {(bytes, 60)}
+    assert min(memo.values()) == (1, 0)
 
 
 def digest(value):
@@ -978,15 +980,22 @@ def digest(value):
 
 
 def test_memo_keys_are_tuples_past_byte_values():
-    # lambda = 256 does not fit a byte: the keys are tuples.  The first
-    # 6 000 nodes of the count, with the three subtrees the memo adds and
-    # the hand-back of the rest, are those of a run that visits every node.
+    # lambda = 256 does not fit a byte: the keys are tuples.  With k = 3 a
+    # block's column-2 counts fix its rows, so no block-start state repeats
+    # within one run; a second run on the same memo adds five subtrees
+    # through tuple keys.  The first 6 000 nodes of the count and the
+    # hand-back of the rest are those of a run that visits every node.
     hits = HitSizes()
-    raw = search_module._kernel(2, 3, 256, (), "count", None, None, 6000, memo=hits)
-    outcome = (raw["status"], raw["nodes"], raw["solutions"], len(raw["rest"]))
-    assert outcome == ("found", 6000, 3, 3)
-    assert (digest(raw["rest"]), digest(raw["witness"])) == ("c44e6262eadcd6a4", "1a630294a799a809")
-    assert (len(hits.sizes), sum(size - 1 for size in hits.sizes)) == (3, 760)
+    args = (2, 3, 256, (), "count", None, None, 6000)
+    for added in ((0, 0), (5, 5361)):
+        raw = search_module._kernel(*args, memo=hits)
+        outcome = (raw["status"], raw["nodes"], raw["solutions"], len(raw["rest"]))
+        assert outcome == ("found", 6000, 3, 3)
+        assert (digest(raw["rest"]), digest(raw["witness"])) == (
+            "c44e6262eadcd6a4",
+            "1a630294a799a809",
+        )
+        assert (len(hits.sizes), sum(size - 1 for size in hits.sizes)) == added
     assert {type(key) for key in hits} == {tuple}
 
 
@@ -1308,8 +1317,8 @@ def differential_search(monkeypatch, n, k, lam, **options):
     "m,status,nodes,calls,rejections",
     [
         # memo hits skip the Hall checks of the subtrees they count
-        (2, "found", 11614, 34000, 22524),
-        (3, "exhausted-no-solution", 15149, 40903, 30808),
+        (2, "found", 11614, 33962, 22484),
+        (3, "exhausted-no-solution", 15149, 26247, 16152),
     ],
 )
 def test_hall_matches_reference_on_pinned_case(monkeypatch, m, status, nodes, calls, rejections):
@@ -1404,6 +1413,39 @@ def test_a_memo_at_its_bound_changes_no_count(monkeypatch):
     memo = {}
     raw = search_module._kernel(2, 6, 3, (), "count", None, memo=memo)
     assert (raw["nodes"], raw["solutions"], len(memo)) == (74921, 2688, 4)
+
+
+class NoStore(dict):
+    """A subtree memo that never stores: every state is visited."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@settings(max_examples=40)
+@given(
+    run=st.sampled_from([(case, mode) for case in SWEEP for mode in ("exists", "count")])
+    | st.sampled_from([((3, 5, 3, m), "exists") for m in (2, 3)]),
+    budget=st.none() | st.integers(0, 16000),
+    chunk=st.none() | st.integers(1, 3000),
+)
+def test_the_memo_changes_no_kernel_output(run, budget, chunk):
+    # Status, nodes, solutions, witness and hand-back are those of a run
+    # that visits every state, also when the hand-back's prefixes then run
+    # on the same memo, as a worker runs its chunks; every key is the
+    # capacity list alone.
+    (n, k, lam, m), mode = run
+    memo = {}
+
+    def both(prefix, node_budget):
+        args = (n, k, lam, prefix, mode, node_budget, None, chunk)
+        out = search_module._kernel(*args, memo=memo)
+        assert out == search_module._kernel(*args, memo=NoStore())
+        return out
+
+    for prefix in both(((0,) * k,) * m, budget)["rest"]:
+        both(prefix, None)
+    assert {(type(key), len(key)) for key in memo} <= {(bytes, k * (k - 1) // 2 * n * n)}
 
 
 @pytest.mark.parametrize("n,k,lam,m", SWEEP)
