@@ -127,12 +127,9 @@ def _ceiling():
     if raw is None:
         return DEFAULT_CEILING
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
         raise _UsageError(f"OAKIT_CEILING must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise _UsageError("OAKIT_CEILING must be positive")
-    return value
 
 
 # ---------------------------------------------------------------------------

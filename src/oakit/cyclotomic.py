@@ -38,29 +38,27 @@ def poly_mul(a, b):
 
 
 def poly_divmod(num, den):
-    """Quotient and remainder of integer polynomials.
+    """Quotient and remainder of an integer polynomial by a monic one.
 
-    Requires every intermediate division of leading coefficients to be exact,
-    which holds throughout this module (cyclotomic factors are monic).
+    Every divisor in this module is a product of cyclotomic polynomials,
+    which are monic, so each step subtracts an integer multiple of `den`;
+    an empty or non-monic `den` raises ValueError.  `num` may end in zeros.
 
     >>> poly_divmod((-1, 0, 0, 1), (-1, 1))   # (x^3-1) / (x-1)
     ((1, 1, 1), ())
     """
+    if not den or den[-1] != 1:
+        raise ValueError(f"divisor {den!r} is not monic")
     num = list(num)
-    den = _trim(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [0] * max(0, len(num) - len(den) + 1)
-    while len(_trim(num)) >= len(den):
-        num = list(_trim(num))
-        shift = len(num) - len(den)
-        lead, rem = divmod(num[-1], den[-1])
-        if rem:
-            raise ValueError("non-exact leading-coefficient division")
-        q[shift] = lead
-        for i, d in enumerate(den):
-            num[shift + i] -= lead * d
-    return _trim(q), _trim(num)
+    d = len(den) - 1
+    q = [0] * max(0, len(num) - d)
+    for shift in range(len(q) - 1, -1, -1):
+        lead = num[shift + d]
+        if lead:
+            q[shift] = lead
+            for i, c in enumerate(den):
+                num[shift + i] -= lead * c
+    return _trim(q), _trim(num[:d])
 
 
 @cache
@@ -107,7 +105,7 @@ def reduce_root_sum(counts, n):
     """
     if len(counts) != n:
         raise ValueError(f"expected {n} counts, got {len(counts)}")
-    _, residual = poly_divmod(_trim(counts), cyclotomic(n))
+    _, residual = poly_divmod(counts, cyclotomic(n))
     return residual
 
 

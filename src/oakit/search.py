@@ -68,6 +68,7 @@ parent alone watches the deadline, and it ends a parallel run by killing
 its workers.
 """
 
+import math
 import os
 import time
 from contextlib import suppress
@@ -393,20 +394,20 @@ def _kernel(n, k, lam, prefix, mode, node_budget, tables=None, chunk=None, stop=
     of 256, 0 included; a true answer ends the run as budget-exceeded.
 
     `memo`, a dict built here when not given, maps the state of a node to
-    its subtree's (nodes, solutions).  Row r is tight exactly when r > 0
-    and r % lambda != 0, when it shares its forced pair (s0, s1) with the
-    row above.  Below the prefix, the subtree of a block-start row r, one
-    that is not tight, depends on the capacities alone: they fix r through
-    their sum, and no cell of row r or below reads the previous row.  Only
-    such nodes are looked up and stored; a tight row's key would need the
-    previous row as well, and such keys seldom repeat.  The key packs
-    the capacities as `bytes` when lambda <= 255 and n <= 256 and as a
-    tuple otherwise.  A block-start node that finishes stores its subtree's
-    counts, a one-node dead end as (1, 0), unless a hand-back has begun or
-    the memo holds `_MEMO_STATES` states; a run that ends early stores
-    nothing for its open rows.  A node whose key is stored adds the stored
-    counts and goes back, as a node that places no row does, when the run
-    would have finished that subtree unchanged: it ends at or before
+    its subtree's (nodes, solutions).  Row r is tight, `tight[2]`, exactly
+    when r % lambda != 0: the rows of one lambda-block share their forced
+    pair (s0, s1).  Below the prefix, the subtree of a block-start row r,
+    one that is not tight, depends on the capacities alone: they fix r
+    through their sum, and no cell of row r or below reads the previous row.
+    Only such nodes are looked up and stored; a tight row's key would need
+    the previous row as well, and such keys seldom repeat.  The key packs
+    the capacities, each at most lambda, as `bytes` when lambda <= 255 and
+    as a tuple otherwise.  A block-start node that finishes stores its
+    subtree's counts, a one-node dead end as (1, 0), unless a hand-back has
+    begun or the memo holds `_MEMO_STATES` states; a run that ends early
+    stores nothing for its open rows.  A node whose key is stored adds the
+    stored counts and goes back, as a node that places no row does, when the
+    run would have finished that subtree unchanged: it ends at or before
     `stop_at`, and, if it holds solutions, the witness is already set.  So
     node counts, budgets, chunks and witnesses are those of a run without
     the memo.  A memo serves one search: one call, or every chunk of one
@@ -431,7 +432,7 @@ def _kernel(n, k, lam, prefix, mode, node_budget, tables=None, chunk=None, stop=
         memo = {}
     lookup = memo.get
     most = _MEMO_STATES
-    pack = bytes if lam <= 255 and n <= 256 else tuple
+    pack = bytes if lam <= 255 else tuple
     # One capacity list: the pair blocks.  Sorted rows force columns 0 and
     # 1 as functions of the row index, so before row r, block (0, 1) counts
     # the rows >= r with forced pair (s0, s1): the Hall rules read only
@@ -459,15 +460,14 @@ def _kernel(n, k, lam, prefix, mode, node_budget, tables=None, chunk=None, stop=
 
     # Per free row r: (row, prev, path, tight, fixed) with prev the row
     # above, path[c] the trie node of row[:c], tight[c] whether
-    # row[:c] == prev[:c], and fixed its forced cell.  row[c] is -1 for
-    # every cell c >= 2 that holds no symbol.
+    # row[:c] == prev[:c] (for c = 2, whether r % lam > 0), and fixed its
+    # forced cell.  row[c] is -1 for every cell c >= 2 that holds no symbol.
     frames = [None] * N
     # marks[r]: the memo key of block-start row r's node and the counters
     # at its entry; None for every other row
     marks = [None] * N
     for r in range(start_r, N):
         row = grid[r]
-        prev = grid[r - 1]
         s0 = r // lns
         s1 = (r % lns) // lam
         row[:] = [s0, s1] + [-1] * (k - 2)
@@ -478,8 +478,8 @@ def _kernel(n, k, lam, prefix, mode, node_budget, tables=None, chunk=None, stop=
         if two is None:
             two = one[n + s1] = _node(n, k, layout, row, 2)
         path = [None, None, two] + [None] * (k - 2)
-        tight = [False, False, r > 0 and s0 == prev[0] and s1 == prev[1]] + [False] * (k - 2)
-        frames[r] = (row, prev, path, tight, one[s1])
+        tight = [False, False, r % lam > 0] + [False] * (k - 2)
+        frames[r] = (row, grid[r - 1], path, tight, one[s1])
 
     hall = _hall
     exists = mode == "exists"
@@ -793,7 +793,7 @@ def generate_linear_oa(q, k):
     """
     if k < 2:
         raise UnsupportedParameters("need at least two columns")
-    if q < 2 or any(q % d == 0 for d in range(2, int(q ** 0.5) + 1)):
+    if q < 2 or any(q % d == 0 for d in range(2, math.isqrt(q) + 1)):
         raise UnsupportedParameters(f"alphabet size {q} is not prime")
     if k > q + 1:
         raise UnsupportedParameters(f"at most q+1 = {q + 1} columns exist for q = {q}")

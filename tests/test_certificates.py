@@ -44,14 +44,8 @@ from oakit import (
     to_transversal_design,
     variance_audit,
 )
+from forgeries import corrupt, shift_cell
 from test_root_sum_reference import LATIN4, REPEATED_COLUMN, _poly
-
-
-def corrupt(array):
-    """Replace the last row so the strength-2 property breaks."""
-    rows = list(array.rows)
-    rows[-1] = (1,) * array.k
-    return OrthogonalArray(array.n, array.k, tuple(rows))
 
 
 def forge(array):
@@ -451,13 +445,6 @@ def zip_product(family, a, b):
 def assert_products_match_zip_loop(family):
     for a, b in itertools.product(range(len(family.vectors)), repeat=2):
         assert family.product(a, b) == zip_product(family, a, b), (a, b)
-
-
-def shift_cell(array, i, j):
-    """Add 1 mod n to cell (i, j): a one-cell forgery."""
-    rows = [list(r) for r in array.rows]
-    rows[i][j] = (rows[i][j] + 1) % array.n
-    return OrthogonalArray(array.n, array.k, tuple(tuple(r) for r in rows))
 
 
 def audit_report(audit, *args):

@@ -310,8 +310,15 @@ def test_search_ceiling_override(capsys, monkeypatch):
 
 
 def test_search_bad_ceiling_env(capsys, monkeypatch):
-    monkeypatch.setenv("OAKIT_CEILING", "many")
-    assert run(capsys, "search", "--n", "2", "--k", "3", "--lambda", "1")[0] == 2
+    # the CLI parses the integer; the library rejects a ceiling below 1
+    for raw in ("many", "0", "-3"):
+        monkeypatch.setenv("OAKIT_CEILING", raw)
+        for extra in ((), ("--maximize",)):
+            code = main(["search", "--n", "2", "--k", "3", "--lambda", "1", *extra])
+            out, err = capsys.readouterr()
+            assert code == 2, (raw, extra)
+            assert out == ""
+            assert err.startswith("oakit: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_search_maximize(capsys):

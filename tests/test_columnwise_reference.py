@@ -30,6 +30,7 @@ from oakit import (
     stack,
     strength_lambda,
 )
+from forgeries import forged
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -63,12 +64,6 @@ CLAIMS = [
     (BASES["oa65"], 1),
     (BASES["oa353_m2"], 2),
 ]
-
-
-def forged(array, i, j, symbol):
-    rows = list(array.rows)
-    rows[i] = rows[i][:j] + (symbol,) + rows[i][j + 1 :]
-    return OrthogonalArray(array.n, array.k, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,14 @@ def test_poly_divmod_round_trip():
         assert (got_q, got_r) == (expect_q, ())
 
 
+def test_poly_divmod_divides_by_monic_polynomials_only():
+    # every divisor here is a product of cyclotomic polynomials
+    with pytest.raises(ValueError):
+        poly_divmod((2, 2), (2,))
+    with pytest.raises(ValueError):
+        poly_divmod((1,), ())
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_uniform_counts_vanish(n):
     assert root_sum_is_zero((1,) * n, n)

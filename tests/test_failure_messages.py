@@ -45,17 +45,12 @@ from oakit import (
     variance_audit,
 )
 from oakit.cli import main
+from forgeries import corrupt
 
 DATA = pathlib.Path(__file__).parent / "data"
 
 PARITY = generate_linear_oa(2, 3)
 NORMALIZED = normalize_to_row(stack(PARITY, 2), 0)
-
-
-def corrupt(array):
-    rows = list(array.rows)
-    rows[-1] = (1,) * array.k
-    return OrthogonalArray(array.n, array.k, tuple(rows))
 
 
 def swap(array, col, i, j):

@@ -12,7 +12,6 @@ import pytest
 from oakit import (
     AuditFailure,
     NotAnOA,
-    OrthogonalArray,
     check_span_equations,
     cwc_certificate,
     extract_cwc,
@@ -30,19 +29,10 @@ from oakit import (
     variance_audit,
 )
 from oakit.cli import AUDIT_METHODS, main
+from forgeries import mutants
 from test_failure_messages import design_of
 
 BASES = [("parity", 1), ("stacked_parity", 2), ("oa43", 1), ("oa353_m2", 2)]
-
-
-def mutants(array):
-    for i, row in enumerate(array.rows):
-        for j, symbol in enumerate(row):
-            for other in range(array.n):
-                if other != symbol:
-                    rows = list(array.rows)
-                    rows[i] = row[:j] + (other,) + row[j + 1 :]
-                    yield OrthogonalArray(array.n, array.k, tuple(rows))
 
 
 # Audits that take no multiplicity claim, then those that claim m.

@@ -26,8 +26,8 @@ from oakit import (
     stack,
 )
 from oakit.cli import REPORT_HEADER, main
+from forgeries import mutants
 from test_invariance import BASES, relabelled
-from test_mutations import mutants
 
 # Besides BASES: oa43 with every row 3 times and oa353_m2 twice (row
 # multiplicities 2 and 4), oa65 with its rows shuffled and a one-cell forgery

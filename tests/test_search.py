@@ -980,23 +980,26 @@ def digest(value):
 
 
 def test_memo_keys_are_tuples_past_byte_values():
-    # lambda = 256 does not fit a byte: the keys are tuples.  With k = 3 a
-    # block's column-2 counts fix its rows, so no block-start state repeats
-    # within one run; a second run on the same memo adds five subtrees
-    # through tuple keys.  The first 6 000 nodes of the count and the
-    # hand-back of the rest are those of a run that visits every node.
-    hits = HitSizes()
-    args = (2, 3, 256, (), "count", None, None, 6000)
-    for added in ((0, 0), (5, 5361)):
-        raw = search_module._kernel(*args, memo=hits)
-        outcome = (raw["status"], raw["nodes"], raw["solutions"], len(raw["rest"]))
-        assert outcome == ("found", 6000, 3, 3)
-        assert (digest(raw["rest"]), digest(raw["witness"])) == (
-            "c44e6262eadcd6a4",
-            "1a630294a799a809",
-        )
-        assert (len(hits.sizes), sum(size - 1 for size in hits.sizes)) == added
-    assert {type(key) for key in hits} == {tuple}
+    # No capacity exceeds lambda: at lambda = 255 the keys are bytes, and
+    # lambda = 256 does not fit a byte, so the keys are tuples.  With k = 3
+    # a block's column-2 counts fix its rows, so no block-start state
+    # repeats within one run; a second run on the same memo adds five
+    # subtrees through its keys.  The first 6 000 nodes of the count and
+    # the hand-back of the rest are those of a run that visits every node.
+    cases = [
+        (255, bytes, 2, ("9dc51d204e80d416", "9d106b81f36cdb73"), (5, 5340)),
+        (256, tuple, 3, ("c44e6262eadcd6a4", "1a630294a799a809"), (5, 5361)),
+    ]
+    for lam, key_type, handed_back, digests, second in cases:
+        hits = HitSizes()
+        args = (2, 3, lam, (), "count", None, None, 6000)
+        for added in ((0, 0), second):
+            raw = search_module._kernel(*args, memo=hits)
+            outcome = (raw["status"], raw["nodes"], raw["solutions"], len(raw["rest"]))
+            assert outcome == ("found", 6000, 3, handed_back)
+            assert (digest(raw["rest"]), digest(raw["witness"])) == digests
+            assert (len(hits.sizes), sum(size - 1 for size in hits.sizes)) == added
+        assert {type(key) for key in hits} == {key_type}
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,29 @@ def test_no_invariant_rests_on_assert():
     assert found == []
 
 
+def test_no_float_root_decides_anything():
+    # floats never decide a verdict: an integer root is math.isqrt, not a
+    # power with a float exponent (x ** 0.5, x ** (1 / 2)) or math.sqrt
+    def float_exponent(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and any(
+            isinstance(part, ast.Div)
+            or isinstance(part, ast.Constant) and isinstance(part.value, float)
+            for part in ast.walk(node.right)
+        )
+
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if float_exponent(node)
+        or isinstance(node, ast.Attribute) and node.attr == "sqrt"
+        or isinstance(node, ast.alias) and node.name == "sqrt"
+    ]
+    assert found == []
+
+
 def test_every_open_names_its_encoding():
     # without encoding= the host locale would decide how input is decoded
     paths = sorted(PACKAGE.glob("*.py"))
