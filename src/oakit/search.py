@@ -42,13 +42,22 @@ family (a, b), which rows share.  No rule is built before the first node.
 the counting bound's floor down; `oracle_max_multiplicity` and the CLI's
 `search --maximize` both consume it.
 
-Many row prefixes leave the same capacities, and at the first row of a
-forced (s0, s1) block, where the last row bounds nothing, the search below
-is then the same subtree.  A run keeps a memo of each finished subtree
-below a block start, dead ends too, keyed by its capacities alone, and
-counts a repeated state's subtree from the memo instead of visiting it
-(`_kernel`).  Node counts still count every node of the canonical tree:
-the repeated subtrees are counted, node for node, through the memo.
+Many row prefixes leave the same capacities up to symmetry, and at the
+first row of a forced (s0, s1) block, where the last row bounds nothing,
+the subtrees below such states then have the same node and solution
+counts.  The symmetry is the group G that permutes the free columns
+2..k-1 and relabels each one's symbols.  Below a block-start row a node is
+a choice of row multisets per block whose state breaks no rule: placing a
+row never raises a rule's slack, so that check is closed under taking
+fewer rows and depends on the last state alone.  G maps the capacities,
+and each rule family, onto themselves, so it maps the nodes below a state
+one to one onto the nodes below its image.  A run keeps a memo of each
+finished subtree below a block start, dead ends too, keyed by the capacity
+list of one image of its state under G (`_key`), and counts a repeated
+state's subtree from the memo instead of visiting it (`_kernel`).  Node
+counts still count every node of the canonical tree: the repeated
+subtrees are counted, node for node, through the memo.  Only the memo
+uses G; pruning and the tree it prunes are those of the plain search.
 
 Within a cell, candidate symbols are tried in descending order; the visit
 order of a fully traversed tree does not affect which nodes are visited
@@ -73,7 +82,8 @@ import os
 import time
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
+from operator import itemgetter
 
 from .arrays import OrthogonalArray, row_multiplicities, strength_lambda
 from .bounds import max_multiplicity
@@ -207,20 +217,90 @@ def _worker(conn, problem, tables, chunk, parent_ends=()):
 def _tables(n, k):
     """The trie's layout and the root of an empty trie.
 
-    The layout is (pidx, families, shared).  pidx[a][b] numbers the column
-    pairs a < b, `families` is `_families(k)`, and `shared` is an empty
-    dict that maps (a, b, row[1], row[a], row[b]) to the recheck rules of
-    family (a, b) for rows with those cells (`_family_rules`), which
-    `_node` adds when a leaf first needs them.  Nothing here depends on
-    lambda, the prefix or the budgets, so one search run builds these once;
-    `_kernel` grows the trie and fills `shared` as it places rows, and both
-    live as long as the tables: one run, or one worker's life.
+    The layout is (pidx, families, shared, symmetry).  pidx[a][b] numbers
+    the column pairs a < b, `families` is `_families(k)`, and `shared` is
+    an empty dict that maps (a, b, row[1], row[a], row[b]) to the recheck
+    rules of family (a, b) for rows with those cells (`_family_rules`),
+    which `_node` adds when a leaf first needs them.  `symmetry` holds the
+    tables of the memo key (`_symmetry`).  Nothing here depends on lambda,
+    the prefix or the budgets, so one search run builds these once;
+    `_kernel` grows the trie and fills `shared` and the key's block table
+    as it places rows, and all live as long as the tables: one run, or one
+    worker's life.
     """
     pidx = [[0] * k for _ in range(k)]
     for i, (a, b) in enumerate(combinations(range(k), 2)):
         pidx[a][b] = i
-    layout = (pidx, _families(k), {})
+    layout = (pidx, _families(k), {}, _symmetry(n, k, pidx))
     return layout, _node(n, k, layout, (), 0)
+
+
+def _cell(n, pidx, a, b, sa, sb):
+    """The index in the capacity list of the cell (sa, sb) of columns a != b."""
+    if a > b:
+        a, b, sa, sb = b, a, sb, sa
+    return (pidx[a][b] * n + sa) * n + sb
+
+
+def _symmetry(n, k, pidx):
+    """The tables `_key` reads: (sig, perms, pix, rows, pidx).
+
+    `sig` is an itemgetter that reads, for each free column c >= 2 and
+    each symbol s in turn, the signature of s in c: its 2n cells in
+    blocks (0, c) and (1, c), the column s of each.  `perms` lists the
+    symbol orders of one column and `pix` numbers them.  rows[a][b][p],
+    for columns a != b, holds the capacity indices of block (a, b) read
+    with a's symbols as rows and b's as columns in order perms[p], one
+    tuple per row symbol.  `_key` builds each entry on first use, so the
+    table holds at most k * k * n! of them.
+    """
+    sig = [
+        _cell(n, pidx, x, c, t, s)
+        for c in range(2, k)
+        for s in range(n)
+        for x in (0, 1)
+        for t in range(n)
+    ]
+    perms = list(permutations(range(n)))
+    pix = {p: i for i, p in enumerate(perms)}
+    rows = [[[None] * len(perms) for _ in range(k)] for _ in range(k)]
+    return itemgetter(*sig) if sig else None, perms, pix, rows, pidx
+
+
+def _key(cap, symmetry, n, k):
+    """The memo key of the capacities `cap`: the capacity list of g·cap.
+
+    g lies in the group G that permutes the free columns 2..k-1 and
+    relabels each free column's symbols; columns 0 and 1 stay fixed.  It
+    is chosen from `cap` alone: each free column's symbols are sorted by
+    their signatures (`_symmetry`), then the free columns by their sorted
+    signature lists, both sorts stable.  So equal keys mean states in one
+    orbit of G, whose subtrees have equal node and solution counts
+    (`_kernel`).  A tie in either sort can give two states of one orbit
+    different keys, which costs hits only.
+    """
+    sig, perms, pix, rows, pidx = symmetry
+    w = 2 * n
+    v = sig(cap) if sig else ()
+    sigs = [v[i : i + w] for i in range(0, len(v), w)]
+    order = [perms[0], perms[0]]
+    ranked = [(), ()]
+    for j in range(0, len(sigs), n):
+        part = sigs[j : j + n]
+        order.append(tuple(sorted(range(n), key=part.__getitem__)))
+        ranked.append(sorted(part))
+    cols = [0, 1] + sorted(range(2, k), key=ranked.__getitem__)
+    perm = [pix[o] for o in order]
+    idx = []
+    for a, b in combinations(cols, 2):
+        block = rows[a][b][perm[b]]
+        if block is None:
+            block = rows[a][b][perm[b]] = [
+                tuple([_cell(n, pidx, a, b, sa, sb) for sb in order[b]]) for sa in range(n)
+            ]
+        for s in order[a]:
+            idx += block[s]
+    return itemgetter(*idx)(cap)
 
 
 def _node(n, k, layout, row, c):
@@ -232,7 +312,7 @@ def _node(n, k, layout, row, c):
     recheck rule set of the complete row: the `shared` entries of its
     families in family order, each added on first use.
     """
-    pidx, families, shared = layout
+    pidx, families, shared, _ = layout
     if c == k:
         leaf = []
         for a, b in families:
@@ -297,20 +377,15 @@ def _family_rules(n, pidx, a, b, s, ra, rb):
     otherwise, `other` is the term's second cell, and `rest` holds the
     other n - 1 terms.
     """
-    n2 = n * n
-
-    def cell(a, b, sa, sb):
-        if a > b:
-            a, b, sa, sb = b, a, sb, sa
-        return pidx[a][b] * n2 + sa * n + sb
-
     rules = []
     for sa in range(n):
         for sb in range(n):
             if (sa == ra) != (sb == rb):
-                rest = [(cell(1, a, t, sa), cell(1, b, t, sb)) for t in range(n)]
+                rest = [
+                    (_cell(n, pidx, 1, a, t, sa), _cell(n, pidx, 1, b, t, sb)) for t in range(n)
+                ]
                 x, y = rest.pop(s)
-                d = cell(a, b, sa, sb)
+                d = _cell(n, pidx, a, b, sa, sb)
                 rules.append((x, y, d, tuple(rest)) if sa == ra else (y, x, d, tuple(rest)))
     return tuple(rules)
 
@@ -400,21 +475,26 @@ def _kernel(n, k, lam, prefix, mode, node_budget, tables=None, chunk=None, stop=
     one that is not tight, depends on the capacities alone: they fix r
     through their sum, and no cell of row r or below reads the previous row.
     Only such nodes are looked up and stored; a tight row's key would need
-    the previous row as well, and such keys seldom repeat.  The key packs
-    the capacities, each at most lambda, as `bytes` when lambda <= 255 and
-    as a tuple otherwise.  A block-start node that finishes stores its
-    subtree's counts, a one-node dead end as (1, 0), unless a hand-back has
-    begun or the memo holds `_MEMO_STATES` states; a run that ends early
-    stores nothing for its open rows.  A node whose key is stored adds the
-    stored counts and goes back, as a node that places no row does, when the
-    run would have finished that subtree unchanged: it ends at or before
-    `stop_at`, and, if it holds solutions, the witness is already set.  So
-    node counts, budgets, chunks and witnesses are those of a run without
-    the memo.  A memo serves one search: one call, or every chunk of one
-    worker.  A stored state costs about 180 bytes: the full (3, 4, 2) count
-    stores 42 561 of them, a 7.2 MiB tracemalloc peak.  The cap holds
-    however long a wall budget runs; the first 3 000 000 nodes of the
-    (2, 7, 4) count store 22 163 states, 4.9 MiB of keys and values.  A
+    the previous row as well, and such keys seldom repeat.  The subtree's
+    counts are also those of every image of the capacities under G, the
+    group of `_key` (see the module docstring): a node below is a choice of
+    row multisets per block whose last state breaks no rule, and G maps
+    such choices, and their states, one to one.  So the key is the capacity
+    list of the image `_key` picks, each capacity at most lambda, packed as
+    `bytes` when lambda <= 255 and as a tuple otherwise; any image picked
+    from the capacities alone would be exact.  A block-start node that
+    finishes stores its subtree's counts, a one-node dead end as (1, 0),
+    unless a hand-back has begun or the memo holds `_MEMO_STATES` states; a
+    run that ends early stores nothing for its open rows.  A node whose key
+    is stored adds the stored counts and goes back, as a node that places no
+    row does, when the run would have finished that subtree unchanged: it
+    ends at or before `stop_at`, and, if it holds solutions, the witness is
+    already set.  So node counts, budgets, chunks and witnesses are those of
+    a run without the memo.  A memo serves one search: one call, or every
+    chunk of one worker.  A stored state costs about 170 bytes: the first
+    3 000 000 nodes of the (2, 7, 4) count store 10 117 states, 1.7 MiB of
+    keys and values, and the full (3, 4, 2) count stores 893, a 0.17 MiB
+    tracemalloc peak.  The cap holds however long a wall budget runs.  A
     state the memo does not hold is visited, so the cap changes no count.
     """
     rest = []
@@ -433,6 +513,8 @@ def _kernel(n, k, lam, prefix, mode, node_budget, tables=None, chunk=None, stop=
     lookup = memo.get
     most = _MEMO_STATES
     pack = bytes if lam <= 255 else tuple
+    keyof = _key
+    symmetry = layout[3]
     # One capacity list: the pair blocks.  Sorted rows force columns 0 and
     # 1 as functions of the row index, so before row r, block (0, 1) counts
     # the rows >= r with forced pair (s0, s1): the Hall rules read only
@@ -575,7 +657,7 @@ def _kernel(n, k, lam, prefix, mode, node_budget, tables=None, chunk=None, stop=
         else:
             row, prev, path, tight, fixed = frames[r]
             if r > start_r and not tight[2]:
-                key = pack(cap)
+                key = pack(keyof(cap, symmetry, n, k))
                 got = lookup(key)
                 if got is not None:
                     size, found = got

@@ -322,7 +322,9 @@ def test_search_bad_ceiling_env(capsys, monkeypatch):
 
 
 def test_search_maximize(capsys):
-    code, out = run(capsys, "search", "--n", "3", "--k", "5", "--lambda", "3", "--maximize")
+    # a budget just above the pinned stage fails a search that lost its pruning at once
+    argv = ("--n", "3", "--k", "5", "--lambda", "3", "--maximize", "--budget", "11615")
+    code, out = run(capsys, "search", *argv)
     assert code == 0
     assert "# m-star 2" in out
     assert "# stage m=2 status found nodes 11614" in out
@@ -396,8 +398,8 @@ def test_search_runs_as_a_process_and_pipes_into_verify(capsys, m, workers, one_
     # Real processes: forked workers killed once the answer is known, a CPU mask
     # that leaves one worker of the two asked for, and README's promise that
     # search output pipes straight back into verify.  (3,5,3) m=2 finds a
-    # witness; m=3 is exhausted after 15 149 nodes.
-    argv = ["search", "--n", "3", "--k", "5", "--lambda", "3", "--m", str(m)]
+    # witness; m=3 is exhausted after 15 149 nodes, within the budget.
+    argv = ["search", "--n", "3", "--k", "5", "--lambda", "3", "--m", str(m), "--budget", "15150"]
     code = main(argv)
     expected = capsys.readouterr().out
     search = [sys.executable, "-m", "oakit.cli", *argv, "--workers", str(workers)]

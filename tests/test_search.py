@@ -2,6 +2,7 @@ import functools
 import gc
 import hashlib
 import itertools
+import math
 import multiprocessing
 import os
 import pathlib
@@ -81,20 +82,20 @@ def test_doubled_row_at_index_two_exists():
 
 
 def test_triple_index_doubled_row():
-    result = search_oa(SearchProblem(3, 5, 3, m=2))
+    result = search_oa(SearchProblem(3, 5, 3, m=2, node_budget=11615))
     assert result.status == "found"
     assert result.nodes_explored == 11614
     assert_valid_witness(result, 3, 5, 3, 2)
 
 
 def test_frozen_witness_is_rederived(oa353_m2):
-    result = search_oa(SearchProblem(3, 5, 3, m=2))
+    result = search_oa(SearchProblem(3, 5, 3, m=2, node_budget=11615))
     assert result.witness == oa353_m2
 
 
 def test_tripled_row_is_impossible():
     # the multiplicity bound floor(27/11) = 2 predicts this exhaustion
-    result = search_oa(SearchProblem(3, 5, 3, m=3))
+    result = search_oa(SearchProblem(3, 5, 3, m=3, node_budget=15150))
     assert result.status == "exhausted-no-solution"
     assert result.nodes_explored == 15149
 
@@ -303,8 +304,9 @@ def test_workers_do_not_change_results(spec, workers):
 
 
 def test_parallel_triple_index_run():
-    sequential = search_oa(SearchProblem(3, 5, 3, m=2))
-    parallel = search_oa(SearchProblem(3, 5, 3, m=2), workers=3)
+    problem = SearchProblem(3, 5, 3, m=2, node_budget=11615)
+    sequential = search_oa(problem)
+    parallel = search_oa(problem, workers=3)
     assert parallel == sequential
     assert parallel.nodes_explored == 11614
 
@@ -356,9 +358,10 @@ def test_chunked_runs_agree_with_one_worker(interval, case, data, workers, mode,
 @pytest.mark.parametrize("m,nodes", [(2, 11614), (3, 15149)])
 def test_chunked_pinned_case_matches_the_sequential_run(monkeypatch, m, nodes):
     monkeypatch.setattr(search_module, "_CHUNK_NODES", 64)
-    parallel = search_oa(SearchProblem(3, 5, 3, m=m), workers=2)
+    problem = SearchProblem(3, 5, 3, m=m, node_budget=nodes + 1)
+    parallel = search_oa(problem, workers=2)
     assert parallel.nodes_explored == nodes
-    assert parallel == search_oa(SearchProblem(3, 5, 3, m=m))
+    assert parallel == search_oa(problem)
 
 
 def test_kernel_hands_back_the_rest_of_its_subtree_in_dfs_order():
@@ -593,12 +596,12 @@ class StopAfterCalls:
         return self.made > self.calls
 
 
-@pytest.mark.parametrize("calls,nodes", [(0, 0), (1, 256), (2, 512), (45, 11520)])
+@pytest.mark.parametrize("calls,nodes", [(0, 0), (1, 256), (2, 512), (40, 11520)])
 def test_stop_callable_stops_a_chunk_within_256_nodes(calls, nodes):
     # A kernel run asks its stop before its first node and every 256 nodes
     # after, so a wall budget ends a sequential run, or the first chunk of a
     # parallel one, within 256 nodes.  (3,5,3) m=2 finds its witness at node
-    # 11 614.
+    # 11 614, after its 41st call.
     stop = StopAfterCalls(calls)
     raw = search_module._kernel(3, 5, 3, ((0,) * 5,) * 2, "exists", None, stop=stop)
     assert (raw["status"], raw["nodes"], raw["witness"]) == ("budget-exceeded", nodes, None)
@@ -607,9 +610,10 @@ def test_stop_callable_stops_a_chunk_within_256_nodes(calls, nodes):
 
 def test_a_stop_that_never_says_stop_changes_nothing():
     stop = StopAfterCalls(10**9)
-    args = (3, 5, 3, ((0,) * 5,) * 2, "exists", None)
+    args = (3, 5, 3, ((0,) * 5,) * 2, "exists", 11615)
     assert search_module._kernel(*args, stop=stop) == search_module._kernel(*args)
-    assert stop.made == 46  # nodes 0, 256, ..., 11 520 of 11 614
+    # 41 calls: memo hits pass over 5 of the 46 multiples 0, 256, ..., 11 520 of 11 614
+    assert stop.made == 41
 
 
 # Tests that patch the kernel in this process and need the workers to inherit it.
@@ -657,7 +661,7 @@ def test_a_found_witness_ends_the_search_while_later_chunks_are_stuck(monkeypatc
     # A chunk after the witness in DFS order cannot change the answer, so the
     # parent kills its worker instead of waiting for the chunk to finish.
     # Symbols are tried in descending order: later prefixes sort lower.
-    problem = SearchProblem(3, 5, 3, m=2)
+    problem = SearchProblem(3, 5, 3, m=2, node_budget=11615)
     sequential = search_oa(problem)
     rows = sequential.witness.rows
     stuck_in_workers(monkeypatch, lambda prefix: prefix < rows[: len(prefix)])
@@ -769,10 +773,11 @@ LOADED = """
 import sys
 import oakit, oakit.cli
 from oakit import SearchProblem, search_oa
-assert search_oa(SearchProblem(3, 5, 3, m=2)).nodes_explored == 11614
+assert search_oa(SearchProblem(3, 5, 3, m=2, node_budget=11615)).nodes_explored == 11614
 assert search_oa(SearchProblem(2, 4, 3, m=2), workers=2).nodes_explored == 23
 if sys.argv[1] == "workers":
-    assert search_oa(SearchProblem(3, 5, 3, m=3), workers=2).nodes_explored == 15149
+    problem = SearchProblem(3, 5, 3, m=3, node_budget=15150)
+    assert search_oa(problem, workers=2).nodes_explored == 15149
 print(" ".join(sorted(sys.modules)))
 """
 
@@ -885,14 +890,15 @@ class HitSizes(dict):
 )
 def test_memo_runs_agree_across_worker_counts(spec, nodes, solutions):
     # each worker keeps one memo for all its chunks, so hits cross chunks
-    sequential = search_oa(SearchProblem(**spec))
+    problem = SearchProblem(**spec, node_budget=nodes + 1)
+    sequential = search_oa(problem)
     assert (sequential.nodes_explored, sequential.solution_count) == (nodes, solutions)
-    assert search_oa(SearchProblem(**spec), workers=2) == sequential
+    assert search_oa(problem, workers=2) == sequential
 
 
 @pytest.mark.parametrize(
     "n,k,lam,m,mode,added",
-    [(3, 5, 3, 3, "exists", 112), (2, 5, 3, 0, "count", 124), (2, 4, 3, 0, "count", 84)],
+    [(3, 5, 3, 3, "exists", 536), (2, 5, 3, 0, "count", 299), (2, 4, 3, 0, "count", 255)],
 )
 def test_every_node_budget_up_to_600_is_exact(n, k, lam, m, mode, added):
     # Memo hits add `added` nodes within the first 600 of each run; a
@@ -945,8 +951,9 @@ def test_a_memo_passed_to_two_runs_keeps_their_witness():
 def test_polls_fall_on_the_same_nodes_through_memo_hits(monkeypatch):
     # A run asks its stop at the first node it reaches at or past each
     # multiple of 256, so a memo hit may pass a multiple.  Polled or not,
-    # the (2, 6, 3) count adds 39 104 of its 74 921 nodes through memo hits,
-    # and polled it asks 293 times, once for each of 0, 256, ..., 74 752.
+    # the (2, 6, 3) count adds 71 954 of its 74 921 nodes through memo hits,
+    # and polled it asks 208 times: hits pass over 85 of the 293 multiples
+    # 0, 256, ..., 74 752.
     # Every node reached but the root follows a passing leaf check.
     real = search_module._hall
     verdicts = []
@@ -960,17 +967,17 @@ def test_polls_fall_on_the_same_nodes_through_memo_hits(monkeypatch):
         verdicts.clear()
         raw = search_module._kernel(2, 6, 3, (), "count", None, stop=stop)
         assert (raw["nodes"], raw["solutions"]) == (74921, 2688)
-        assert raw["nodes"] - (verdicts.count(True) + 1) == 39104
-    assert stop.made == 293
+        assert raw["nodes"] - (verdicts.count(True) + 1) == 71954
+    assert stop.made == 208
 
 
 def test_the_memo_stores_block_start_states_and_their_dead_ends():
-    # A key is the capacity list alone, 15 pair blocks of 4 cells, and a
-    # one-node dead end is stored as (1, 0) like any other subtree.
+    # A key is a capacity list, 15 pair blocks of 4 cells, and a one-node
+    # dead end is stored as (1, 0) like any other subtree.
     memo = {}
     raw = search_module._kernel(2, 6, 3, (), "count", None, memo=memo)
     assert (raw["nodes"], raw["solutions"]) == (74921, 2688)
-    assert len(memo) == 2160
+    assert len(memo) == 107
     assert {(type(key), len(key)) for key in memo} == {(bytes, 60)}
     assert min(memo.values()) == (1, 0)
 
@@ -1002,6 +1009,110 @@ def test_memo_keys_are_tuples_past_byte_values():
         assert {type(key) for key in hits} == {key_type}
 
 
+def capacities(n, k, lam, rows):
+    """The kernel's capacity list after `rows`: lambda less each cell's uses, per pair block."""
+    pidx, _, _ = reference_tables(n, k, lam)
+    cap = [lam] * (k * (k - 1) // 2 * n * n)
+    for row in rows:
+        for a, b in itertools.combinations(range(k), 2):
+            cap[pidx[a][b] * n * n + row[a] * n + row[b]] -= 1
+    return cap
+
+
+@pytest.mark.parametrize(
+    "n,k,lam,rows",
+    [
+        (
+            2,
+            5,
+            3,
+            [(0, 0) + free for free in [(0, 0, 0), (0, 1, 1), (1, 1, 0)]]
+            + [(0, 1) + free for free in [(0, 0, 1), (1, 0, 0), (1, 1, 1)]],
+        ),
+        (3, 4, 2, [(0, 0, 0, 1), (0, 0, 2, 2), (0, 1, 1, 0), (0, 1, 2, 1)]),
+        (2, 4, 256, [(0, 0, 0, 1)] * 100 + [(0, 0, 1, 0)] * 156),
+    ],
+)
+def test_a_column_swap_or_a_relabelling_keeps_the_key(n, k, lam, rows):
+    # Three block-start states: the rows, the rows with columns 2 and 3
+    # swapped, and the rows with column 2's symbols relabelled s -> s + 1
+    # mod n.  Their capacity lists differ, and their keys are one.
+    swapped = [row[:2] + (row[3], row[2]) + row[4:] for row in rows]
+    relabelled = [row[:2] + ((row[2] + 1) % n,) + row[3:] for row in rows]
+    states = [capacities(n, k, lam, x) for x in (rows, swapped, relabelled)]
+    assert len({tuple(cap) for cap in states}) == 3
+    (_, _, _, symmetry), _ = search_module._tables(n, k)
+    assert len({search_module._key(cap, symmetry, n, k) for cap in states}) == 1
+
+
+def group_images(n, k):
+    """For every g in G, the index list that reads g·cap off cap.
+
+    G orders the free columns 2..k-1 in every way and relabels each one's
+    symbols in every way; position j takes old column cols[j], and its
+    symbol i is that column's old symbol labels[cols[j]][i].
+    """
+    pidx, _, _ = reference_tables(n, k, 1)
+
+    def cell(a, b, sa, sb):
+        if a > b:
+            a, b, sa, sb = b, a, sb, sa
+        return pidx[a][b] * n * n + sa * n + sb
+
+    ident = tuple(range(n))
+    gathers = []
+    for free in itertools.permutations(range(2, k)):
+        cols = (0, 1) + free
+        for relabel in itertools.product(itertools.permutations(range(n)), repeat=k - 2):
+            labels = (ident, ident) + relabel
+            gathers.append(
+                [
+                    cell(cols[a], cols[b], labels[cols[a]][i], labels[cols[b]][j])
+                    for a, b in itertools.combinations(range(k), 2)
+                    for i in range(n)
+                    for j in range(n)
+                ]
+            )
+    return gathers
+
+
+@pytest.mark.parametrize(
+    "n,k,lam,budget,key_type",
+    [
+        (2, 5, 3, None, bytes),
+        (3, 4, 1, None, bytes),
+        (3, 4, 2, 3000, bytes),
+        (2, 4, 256, 6000, tuple),
+    ],
+)
+def test_every_key_is_the_capacity_list_of_an_image_of_its_state(
+    monkeypatch, n, k, lam, budget, key_type
+):
+    # Against a plain enumeration of G, every key the kernel computes is
+    # g·cap for some g in G, and the memo stores only such keys: `bytes`
+    # for lambda <= 255 and `tuple` past it.
+    real = search_module._key
+    seen = {}
+
+    def recorded(cap, symmetry, n, k):
+        key = real(cap, symmetry, n, k)
+        seen.setdefault(key, set()).add(tuple(cap))
+        return key
+
+    monkeypatch.setattr(search_module, "_key", recorded)
+    memo = {}
+    search_module._kernel(n, k, lam, (), "count", budget, memo=memo)
+    gathers = group_images(n, k)
+    assert len(gathers) == math.factorial(k - 2) * math.factorial(n) ** (k - 2)
+    assert memo and {type(key) for key in memo} == {key_type}
+    assert {tuple(key) for key in memo} <= set(seen)
+    for key, states in seen.items():
+        for cap in states:
+            assert any(tuple(cap[i] for i in gather) == key for gather in gathers)
+    # some state differs from its key, so the key is no identity map
+    assert any(key != cap for key, states in seen.items() for cap in states)
+
+
 # ---------------------------------------------------------------------------
 # multiplicity oracle
 # ---------------------------------------------------------------------------
@@ -1015,7 +1126,7 @@ def test_oracle_values():
     assert row_multiplicities(witness).max_multiplicity >= 2
     m, witness = oracle_max_multiplicity(2, 4, 3)
     assert m == 2  # the bound allows floor(12/5) = 2 and search attains it
-    m, witness = oracle_max_multiplicity(3, 5, 3)
+    m, witness = oracle_max_multiplicity(3, 5, 3, node_budget=11615)
     assert m == 2
     assert strength_lambda(witness) == 3
 
@@ -1144,11 +1255,15 @@ def test_leaves_share_their_rules_per_family(n, k, lam):
     # lowered, `other` the term's second cell, `rest` the other terms.
     # Within family (a, b) the rules depend on row[1], row[a] and row[b]
     # alone, and rows that agree there hold the same rule objects.
-    # The `shared` store holds exactly the keys of the grown leaves.
+    # The `shared` store holds exactly the keys of the grown leaves.  The
+    # run visits every node of the full count, so the trie grows as far as
+    # the search goes.
     tables = search_module._tables(n, k)
-    (_, families, store), root = tables
+    (_, families, store, _), root = tables
     rules = hall_rules(n, k)
-    search_module._kernel(n, k, lam, (), "count", None, tables)
+    full = {(2, 5, 2): 525, (3, 4, 1): 514, (2, 6, 3): 74921}[n, k, lam]
+    raw = search_module._kernel(n, k, lam, (), "count", full + 1, tables, memo=NoStore())
+    assert raw["nodes"] == full
     leaves = trie_leaves(root, n, k)
     assert len(leaves) > n**3
     assert set(store) == {(a, b, row[1], row[a], row[b]) for row in leaves for a, b in families}
@@ -1176,7 +1291,7 @@ def test_leaves_share_their_rules_per_family(n, k, lam):
 def test_fresh_tables_hold_no_rules():
     # the rule store grows with the leaves: a wide search holds nothing for
     # its 28 441 families before its first complete row
-    (_, families, store), _ = search_module._tables(2, 240)
+    (_, families, store, _), _ = search_module._tables(2, 240)
     assert len(families) == 28_441 and len(store) == 0
 
 
@@ -1191,7 +1306,7 @@ def trie_inner_nodes(node, n, depth):
     "n,k,lam,m,mode,size",
     [
         (3, 5, 3, 3, "exists", (44, 45, 81)),
-        (3, 5, 3, 2, "exists", (83, 115, 151)),
+        (3, 5, 3, 2, "exists", (82, 110, 148)),
         (3, 3, 3, 0, "count", (13, 27, 27)),
     ],
 )
@@ -1199,8 +1314,10 @@ def test_trie_grows_only_along_symbols_with_room(n, k, lam, m, mode, size):
     # a cell builds its child only after its symbol took capacity, so the
     # trie and the rule store hold exactly the prefixes the search placed
     tables = search_module._tables(n, k)
-    (_, _, store), root = tables
-    search_module._kernel(n, k, lam, ((0,) * k,) * m, mode, None, tables)
+    (_, _, store, _), root = tables
+    full = {(3, 5, 3, 3): 15149, (3, 5, 3, 2): 11614, (3, 3, 3, 0): 21466}[n, k, lam, m]
+    raw = search_module._kernel(n, k, lam, ((0,) * k,) * m, mode, full + 1, tables)
+    assert raw["nodes"] == full
     assert (trie_inner_nodes(root, n, k), len(trie_leaves(root, n, k)), len(store)) == size
 
 
@@ -1320,19 +1437,19 @@ def differential_search(monkeypatch, n, k, lam, **options):
     "m,status,nodes,calls,rejections",
     [
         # memo hits skip the Hall checks of the subtrees they count
-        (2, "found", 11614, 33962, 22484),
-        (3, "exhausted-no-solution", 15149, 26247, 16152),
+        (2, "found", 11614, 22862, 14658),
+        (3, "exhausted-no-solution", 15149, 1703, 649),
     ],
 )
 def test_hall_matches_reference_on_pinned_case(monkeypatch, m, status, nodes, calls, rejections):
-    result, verdicts = differential_search(monkeypatch, 3, 5, 3, m=m)
+    result, verdicts = differential_search(monkeypatch, 3, 5, 3, m=m, node_budget=nodes + 1)
     assert (result.status, result.nodes_explored) == (status, nodes)
     assert len(verdicts) == calls
     assert verdicts.count(False) == rejections
 
 
 def test_hall_matches_reference_in_count_mode(monkeypatch):
-    result, verdicts = differential_search(monkeypatch, 3, 3, 3, mode="count")
+    result, verdicts = differential_search(monkeypatch, 3, 3, 3, mode="count", node_budget=21467)
     assert (result.nodes_explored, result.solution_count) == (21466, 847)
     assert verdicts.count(False) > 0
 
@@ -1397,9 +1514,16 @@ SWEEP_OUTCOMES = {
 }
 
 
+def full_tree_budget(n, k, lam, m):
+    """A node budget one above a SWEEP case's full count, so that a search
+    that lost its pruning fails at once instead of running on."""
+    return SWEEP_OUTCOMES[n, k, lam, m][1] + 1
+
+
 @pytest.mark.parametrize("n,k,lam,m", SWEEP)
 def test_sweep_counts_are_those_of_the_full_tree(n, k, lam, m):
-    result = search_oa(SearchProblem(n, k, lam, m=m, mode="count"))
+    budget = full_tree_budget(n, k, lam, m)
+    result = search_oa(SearchProblem(n, k, lam, m=m, mode="count", node_budget=budget))
     outcome = (result.status, result.nodes_explored, result.solution_count)
     assert outcome == SWEEP_OUTCOMES[n, k, lam, m]
     assert len(SWEEP_OUTCOMES) == len(SWEEP)
@@ -1410,11 +1534,13 @@ def test_a_memo_at_its_bound_changes_no_count(monkeypatch):
     # inherit the patched bound.
     monkeypatch.setattr(search_module, "_MEMO_STATES", 4)
     for (n, k, lam, m), outcome in SWEEP_OUTCOMES.items():
+        budget = full_tree_budget(n, k, lam, m)
+        problem = SearchProblem(n, k, lam, m=m, mode="count", node_budget=budget)
         for workers in (1, 2):
-            result = search_oa(SearchProblem(n, k, lam, m=m, mode="count"), workers=workers)
+            result = search_oa(problem, workers=workers)
             assert (result.status, result.nodes_explored, result.solution_count) == outcome
     memo = {}
-    raw = search_module._kernel(2, 6, 3, (), "count", None, memo=memo)
+    raw = search_module._kernel(2, 6, 3, (), "count", 74922, memo=memo)
     assert (raw["nodes"], raw["solutions"], len(memo)) == (74921, 2688, 4)
 
 
@@ -1455,13 +1581,16 @@ def test_the_memo_changes_no_kernel_output(run, budget, chunk):
 def test_hall_matches_reference_on_small_parameters(monkeypatch, n, k, lam, m):
     # Every node reached but the root follows a passing leaf check, and so
     # does each of the m prefix rows.  A memo hit reaches its subtree's root
-    # and counts the rest without reaching it.  Without budgets every hit
-    # is taken: a stored subtree holds solutions only after a first one set
-    # the witness.
+    # and counts the rest without reaching it.  Under a budget above the
+    # full count every hit is taken: a stored subtree holds solutions only
+    # after a first one set the witness.
     hits = HitSizes()
     kernel = search_module._kernel
     monkeypatch.setattr(search_module, "_kernel", lambda *args: kernel(*args, memo=hits))
-    result, verdicts = differential_search(monkeypatch, n, k, lam, m=m, mode="count")
+    budget = full_tree_budget(n, k, lam, m)
+    result, verdicts = differential_search(
+        monkeypatch, n, k, lam, m=m, mode="count", node_budget=budget
+    )
     reached = result.nodes_explored - sum(size - 1 for size in hits.sizes)
     assert verdicts.count(True) == reached - 1 + m
 
@@ -1511,7 +1640,8 @@ def test_hall_filter_is_exact_and_skips_rules(monkeypatch):
             return verdict
 
         monkeypatch.setattr(search_module, "_hall", checked)
-        result = search_oa(SearchProblem(n, k, lam, m=m, mode="count"))
+        budget = full_tree_budget(n, k, lam, m)
+        result = search_oa(SearchProblem(n, k, lam, m=m, mode="count", node_budget=budget))
         assert result.nodes_explored > 0
     assert counts["calls"] > 1000
     assert counts["summed"] < counts["held"]
